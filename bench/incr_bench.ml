@@ -67,7 +67,7 @@ let micro_one name g =
   let size_of = Lifetime.default_size g in
   let lv = Liveness.compute g in
   let probe = Membound.probe_create ~sample:8 lv in
-  let parent_sched = Reorder.schedule ~size_of g in
+  let parent = Incremental.parent g (Reorder.schedule ~size_of g) in
   let all_rws = rewrites g in
   let cap = max_dirty (Graph.n_nodes g) in
   (* correctness first, untimed: every delta result must match the
@@ -90,8 +90,8 @@ let micro_one name g =
             failwith (name ^ ": probe_update diverged from scratch")
       | None -> incr n_bail);
       let order, _ =
-        Incremental.reschedule ~old_graph:g ~new_graph:rw.graph
-          ~old_schedule:parent_sched ~mutated_old:rw.touched_old
+        Incremental.reschedule ~parent ~new_graph:rw.graph
+          ~mutated_old:rw.touched_old
           ~size_of:(Lifetime.default_size rw.graph) ()
       in
       if not (Graph.is_valid_order rw.graph order) then
@@ -130,8 +130,8 @@ let micro_one name g =
                  ~size_of:(Lifetime.default_size rw.graph)
                  ~sample:8 rw.graph));
         ignore
-          (Incremental.reschedule ~old_graph:g ~new_graph:rw.graph
-             ~old_schedule:parent_sched ~mutated_old:rw.touched_old
+          (Incremental.reschedule ~parent ~new_graph:rw.graph
+             ~mutated_old:rw.touched_old
              ~size_of:(Lifetime.default_size rw.graph) ()))
       rws
   done;

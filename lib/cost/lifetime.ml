@@ -19,7 +19,7 @@ module Int_set = Util.Int_set
 
 type t = {
   order : int array;
-  pos : (int, int) Hashtbl.t;  (** node id -> schedule position *)
+  pos : int array;  (** node id -> schedule position, -1 if absent *)
   birth : int array;  (** per position: step the output appears *)
   free : int array;  (** per position: last step the output is live *)
   mem : int array;  (** per step: active bytes *)
@@ -38,8 +38,8 @@ let analyze ?size_of (g : Graph.t) (order : int list) : t =
   let size_of = match size_of with Some f -> f | None -> default_size g in
   let order = Array.of_list order in
   let n = Array.length order in
-  let pos = Hashtbl.create n in
-  Array.iteri (fun i v -> Hashtbl.replace pos v i) order;
+  let pos = Array.make (Graph.id_bound g) (-1) in
+  Array.iteri (fun i v -> pos.(v) <- i) order;
   let sizes = Array.map (fun v -> size_of v) order in
   let birth = Array.init n (fun i -> i) in
   let free = Array.make n 0 in
@@ -56,12 +56,7 @@ let analyze ?size_of (g : Graph.t) (order : int list) : t =
     then free.(i) <- last (* graph output: live to the end *)
     else
       free.(i) <-
-        List.fold_left
-          (fun acc s ->
-            match Hashtbl.find_opt pos s with
-            | Some j -> max acc j
-            | None -> acc)
-          i (Graph.suc g v)
+        Int_set.fold (fun s acc -> max acc pos.(s)) (Graph.succ_set g v) i
   done;
   (* Sweep 1: memory per step via birth/death deltas. *)
   let mem = Array.make (max n 1) 0 in
@@ -99,15 +94,15 @@ let hotspots t = t.hotspots
 let timeline t = Array.copy t.mem
 
 (** Position of a node in the analyzed schedule. *)
-let position t v = Hashtbl.find_opt t.pos v
+let position t v =
+  if v >= 0 && v < Array.length t.pos && t.pos.(v) >= 0 then Some t.pos.(v)
+  else None
 
 (** Total size of hot-spot tensors using the analysis' size function. *)
 let hotspot_bytes t =
   Int_set.fold
     (fun v acc ->
-      match Hashtbl.find_opt t.pos v with
-      | Some i -> acc + t.sizes.(i)
-      | None -> acc)
+      match position t v with Some i -> acc + t.sizes.(i) | None -> acc)
     t.hotspots 0
 
 (** Lifetime interval of the node at schedule position [i]. *)

@@ -10,7 +10,7 @@ module Int_set = Util.Int_set
 
 type t = private {
   order : int array;
-  pos : (int, int) Hashtbl.t;
+  pos : int array;  (** node id -> schedule position, -1 if absent *)
   birth : int array;  (** per position: step the output appears *)
   free : int array;  (** per position: last step the output is live *)
   mem : int array;  (** per step: active bytes *)

@@ -34,9 +34,10 @@ let () =
     the priority queue, the δ-admission test, the bound probes — so it
     is converted to a structured exception at the source, which the
     supervised search quarantines as a diagnostic. *)
+let is_cost value = Float.is_finite value && value >= 0.0
+
 let check_finite ~what value =
-  if not (Float.is_finite value) || value < 0.0 then
-    raise (Non_finite { what; value })
+  if not (is_cost value) then raise (Non_finite { what; value })
 
 type t = {
   hw : Hardware.t;
@@ -50,9 +51,12 @@ let create hw =
   { hw; cache = Hashtbl.create 1024; lock = Mutex.create (); hits = 0;
     misses = 0 }
 
+(* Memo key of an operator over its input shapes.  [node_cost] builds
+   the same value from the nodes' precomputed [op_fp] and [shape_hash]. *)
 let key (op : Op.kind) (ins : Shape.t array) =
-  let h = Op.fingerprint op in
-  Array.fold_left (fun h s -> Util.hash_combine h (Shape.hash s)) h ins
+  Array.fold_left
+    (fun h s -> Util.hash_combine h (Shape.hash s))
+    (Op.fingerprint op) ins
 
 (** Latency (seconds) of one execution of the operator on the device
     compute stream.  Store/Load cost nothing here: they run on the copy
@@ -75,8 +79,16 @@ let compute_raw (hw : Hardware.t) (op : Op.kind) (ins : Shape.t array)
       in
       hw.launch_overhead +. (fl /. hw.peak_flops) +. mem_t
 
-let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
-  let k = key op ins in
+(* [check_finite], with the message formatted only on failure: this runs
+   on every lookup *)
+let check_cost op c =
+  if not (is_cost c) then check_finite ~what:(Op.name op ^ " cost") c
+
+(** [cost_k t k op ins out] is [cost t op ins out] for a key [k] the
+    caller built from precomputed hash ingredients; [ins] is only read on
+    a miss. *)
+let cost_k t k (op : Op.kind) (ins : unit -> Shape.t array) (out : Shape.t) :
+    float =
   Mutex.lock t.lock;
   match Hashtbl.find_opt t.cache k with
   | Some c ->
@@ -86,25 +98,35 @@ let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
       (* the fault site covers hits and misses alike, so a site visit
          count is independent of cache warmth *)
       let c = Fault.cost "op_cost" c in
-      check_finite ~what:(Op.name op ^ " cost") c;
+      check_cost op c;
       c
   | None ->
       t.misses <- t.misses + 1;
       Mutex.unlock t.lock;
       Metrics.incr m_misses;
-      let c = Fault.cost "op_cost" (compute_raw t.hw op ins out) in
+      let c = Fault.cost "op_cost" (compute_raw t.hw op (ins ()) out) in
       (* guard before caching: a corrupted value must never be memoized *)
-      check_finite ~what:(Op.name op ^ " cost") c;
+      check_cost op c;
       Mutex.lock t.lock;
       Hashtbl.replace t.cache k c;
       Mutex.unlock t.lock;
       c
 
-(** Latency of a node of graph [g]. *)
+let cost t (op : Op.kind) (ins : Shape.t array) (out : Shape.t) : float =
+  cost_k t (key op ins) op (fun () -> ins) out
+
+(** Latency of a node of graph [g]: the key comes from the node's and
+    its inputs' precomputed fingerprints. *)
 let node_cost t (g : Graph.t) (id : int) : float =
   let n = Graph.node g id in
-  let ins = Array.map (fun i -> Graph.shape g i) n.inputs in
-  cost t n.op ins n.shape
+  let k =
+    Array.fold_left
+      (fun h i -> Util.hash_combine h (Graph.node g i).shape_hash)
+      n.op_fp n.inputs
+  in
+  cost_k t k n.op
+    (fun () -> Array.map (fun i -> Graph.shape g i) n.inputs)
+    n.shape
 
 (** Time to move a tensor of [bytes] over the host<->device link. *)
 let swap_time t (bytes : int) : float =

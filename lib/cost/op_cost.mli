@@ -11,8 +11,12 @@ open Magis_ir
     letting the value poison the priority queue. *)
 exception Non_finite of { what : string; value : float }
 
-(** [check_finite ~what v] raises {!Non_finite} unless [0 <= v < ∞].
-    Exposed for the simulator and other cost-consuming layers. *)
+(** [0 <= v < ∞]: a valid cost in seconds. *)
+val is_cost : float -> bool
+
+(** [check_finite ~what v] raises {!Non_finite} unless [is_cost v].
+    Exposed for the simulator and other cost-consuming layers; hot loops
+    test {!is_cost} first, so [what] is only built on failure. *)
 val check_finite : what:string -> float -> unit
 
 type t = {
@@ -29,6 +33,14 @@ val create : Hardware.t -> t
     cost nothing here (they run on the copy stream). *)
 val cost : t -> Op.kind -> Shape.t array -> Shape.t -> float
 
+(** [cost_k t k op ins out] is [cost t op (ins ()) out] for a memo key
+    [k] the caller folded from precomputed ingredients: [Util.hash_combine]
+    over the input shapes' {!Shape.hash}, starting from
+    {!Op.fingerprint}[ op].  [ins] is forced only on a miss. *)
+val cost_k : t -> int64 -> Op.kind -> (unit -> Shape.t array) -> Shape.t -> float
+
+(** Latency of a graph node, keyed from the nodes' [op_fp] and
+    [shape_hash] fields. *)
 val node_cost : t -> Graph.t -> int -> float
 
 (** Host<->device transfer time for [bytes]. *)

@@ -38,6 +38,9 @@ type event = {
   ev_finish : float;
 }
 
+(* [Stdlib.max] on floats, without the polymorphic compare *)
+let fmax (a : float) b = if a >= b then a else b
+
 (** [sink], when given, receives one event per scheduled non-Input node
     (in schedule order, accumulated newest-first). *)
 let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
@@ -50,14 +53,11 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
     | None -> fun id -> Op_cost.node_cost cache g id
   in
   let emit ev = match sink with None -> () | Some r -> r := ev :: !r in
-  let finish = Hashtbl.create (Graph.n_nodes g) in
-  let ready v =
-    List.fold_left
-      (fun acc p ->
-        match Hashtbl.find_opt finish p with
-        | Some t -> max acc t
-        | None -> acc)
-      0.0 (Graph.pre g v)
+  (* finish time per node id; 0 until scheduled.  Ready time is the max
+     over the operand slots: repeated operands cannot change a max. *)
+  let finish = Array.make (Graph.id_bound g) 0.0 in
+  let ready (n : Graph.node) =
+    Array.fold_left (fun acc p -> fmax acc finish.(p)) 0.0 n.inputs
   in
   let t_compute = ref 0.0 and t_copy = ref 0.0 in
   let compute_busy = ref 0.0 and copy_busy = ref 0.0 in
@@ -68,26 +68,27 @@ let simulate ?size_of ?cost_of ?sink (cache : Op_cost.t) (g : Graph.t)
       | Op.Store | Op.Load ->
           let bytes = Shape.size_bytes n.shape in
           let dur = Op_cost.swap_time cache bytes in
-          let start = max !t_copy (ready v) in
+          let start = fmax !t_copy (ready n) in
           t_copy := start +. dur;
           copy_busy := !copy_busy +. dur;
-          Hashtbl.replace finish v !t_copy;
+          finish.(v) <- !t_copy;
           emit { ev_node = v; ev_copy = true; ev_start = start;
                  ev_finish = !t_copy }
-      | Op.Input _ -> Hashtbl.replace finish v 0.0
+      | Op.Input _ -> finish.(v) <- 0.0
       | _ ->
           let dur = cost_of v in
           (* the [cost_of] hook may come from fission accounting or any
              other caller-supplied model: guard it like Op_cost guards
              its own values, so a NaN duration surfaces as a structured
              exception instead of a poisoned latency *)
-          Op_cost.check_finite
-            ~what:(Printf.sprintf "node %d scheduled cost" v)
-            dur;
-          let start = max !t_compute (ready v) in
+          if not (Op_cost.is_cost dur) then
+            Op_cost.check_finite
+              ~what:(Printf.sprintf "node %d scheduled cost" v)
+              dur;
+          let start = fmax !t_compute (ready n) in
           t_compute := start +. dur;
           compute_busy := !compute_busy +. dur;
-          Hashtbl.replace finish v !t_compute;
+          finish.(v) <- !t_compute;
           emit { ev_node = v; ev_copy = false; ev_start = start;
                  ev_finish = !t_compute })
     order;

@@ -378,6 +378,16 @@ type accounting = {
   extra_latency : float;  (** boundary slice/merge overhead *)
 }
 
+(* [size_of] answered from a table over node ids: the scheduler, the
+   bound probe and the lifetime analysis of one candidate look every size
+   up many times.  Ids outside the graph fall through to [f]. *)
+let tabulate (g : Graph.t) (f : int -> int) : int -> int =
+  let table = Array.make (Graph.id_bound g) (-1) in
+  Graph.iter (fun n -> table.(n.id) <- f n.id) g;
+  fun v ->
+    if v >= 0 && v < Array.length table && table.(v) >= 0 then table.(v)
+    else f v
+
 (** Build the virtual-fission accounting for graph [g] under tree [t].
     See the module header for the model. *)
 let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
@@ -385,7 +395,7 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
   match enabled with
   | [] ->
       {
-        size_of = (fun v -> Lifetime.default_size g v);
+        size_of = tabulate g (Lifetime.default_size g);
         cost_of = (fun v -> Op_cost.node_cost cache g v);
         extra_latency = 0.0;
       }
@@ -457,7 +467,14 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
               entries;
             if !factor = 1 then Op_cost.node_cost cache g v
             else
-              float_of_int !factor *. Op_cost.cost cache node.op !ins !out
+              let ins = !ins in
+              let k =
+                Array.fold_left
+                  (fun h s -> Util.hash_combine h (Shape.hash s))
+                  node.op_fp ins
+              in
+              float_of_int !factor
+              *. Op_cost.cost_k cache k node.op (fun () -> ins) !out
       in
       let hw = (cache : Op_cost.t).hw in
       let extra_latency =
@@ -495,7 +512,7 @@ let accounting (cache : Op_cost.t) (g : Graph.t) (t : t) : accounting =
                   +. (launches *. hw.Hardware.launch_overhead)))
           0.0 entries
       in
-      { size_of; cost_of; extra_latency }
+      { size_of = tabulate g size_of; cost_of; extra_latency }
 
 let pp ppf t =
   Array.iteri

@@ -18,6 +18,8 @@ type node = {
   shape : Shape.t;
   label : string;  (** human-readable name, for debugging/printing *)
   inputs : int array;  (** operand slots, in order *)
+  op_fp : int64;  (** [Op.fingerprint op], derived *)
+  shape_hash : int64;  (** [Shape.hash shape], derived *)
 }
 
 type t = {
@@ -29,6 +31,7 @@ type t = {
 let empty = { nodes = Int_map.empty; succs = Int_map.empty; next_id = 0 }
 
 let n_nodes g = Int_map.cardinal g.nodes
+let id_bound g = g.next_id
 let mem g id = Int_map.mem id g.nodes
 
 let node g id =
@@ -53,7 +56,11 @@ let suc g id = Int_set.elements (succ_set g id)
 
 let pre g id =
   let n = node g id in
-  Array.to_list n.inputs |> List.sort_uniq compare
+  match n.inputs with
+  | [||] -> []
+  | [| a |] -> [ a ]
+  | [| a; b |] -> if a = b then [ a ] else if a < b then [ a; b ] else [ b; a ]
+  | ins -> Array.to_list ins |> List.sort_uniq compare
 
 let in_degree g id = Array.length (node g id).inputs
 let out_degree g id = Int_set.cardinal (succ_set g id)
@@ -61,6 +68,13 @@ let out_degree g id = Int_set.cardinal (succ_set g id)
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* The only constructor of [node]: the derived hash fields are computed
+   here, once, and every later copy ([{ n with inputs }]) keeps [op] and
+   [shape] and therefore stays consistent. *)
+let make_node id op shape label inputs =
+  { id; op; shape; label; inputs; op_fp = Op.fingerprint op;
+    shape_hash = Shape.hash shape }
 
 let add_succ succs src dst =
   let s =
@@ -82,7 +96,7 @@ let remove_succ succs src dst =
     label) and returns the extended graph and the new node id. *)
 let add_input ?(label = "") g kind shape =
   let id = g.next_id in
-  let n = { id; op = Op.Input kind; shape; label; inputs = [||] } in
+  let n = make_node id (Op.Input kind) shape label [||] in
   ({ g with nodes = Int_map.add id n g.nodes; next_id = id + 1 }, id)
 
 (** [add g op inputs] adds an operator node; the output shape is inferred
@@ -105,7 +119,7 @@ let add ?(label = "") g op inputs =
       invalid_arg (Printf.sprintf "Graph.add: %s: %s" (describe ()) msg)
   | Ok shape ->
       let id = g.next_id in
-      let n = { id; op; shape; label; inputs = ins } in
+      let n = make_node id op shape label ins in
       let succs = Array.fold_left (fun s src -> add_succ s src id) g.succs ins in
       ({ nodes = Int_map.add id n g.nodes; succs; next_id = id + 1 }, id)
 
@@ -196,36 +210,47 @@ let outputs g =
     g.nodes []
   |> List.rev
 
-let reachable step start =
-  let rec go visited frontier =
-    match frontier with
-    | [] -> visited
-    | v :: rest ->
-        let nexts = step v in
-        let visited, frontier =
-          List.fold_left
-            (fun (vis, fr) u ->
-              if Int_set.mem u vis then (vis, fr) else (Int_set.add u vis, u :: fr))
-            (visited, rest) nexts
-        in
-        go visited frontier
+(* [start] plus everything reachable from it, where [step v f] applies
+   [f] to the neighbours of [v] the walk may follow *)
+let closure step (start : Int_set.t) =
+  let visited = ref start and stack = ref (Int_set.elements start) in
+  let visit u =
+    if not (Int_set.mem u !visited) then begin
+      visited := Int_set.add u !visited;
+      stack := u :: !stack
+    end
   in
-  go (Int_set.of_list start) start
+  let rec go () =
+    match !stack with
+    | [] -> !visited
+    | v :: rest ->
+        stack := rest;
+        step v visit;
+        go ()
+  in
+  go ()
+
+let iter_pre g v f = Array.iter f (node g v).inputs
+let iter_suc g v f = Int_set.iter f (succ_set g v)
+
+(* the neighbours of the members of [set] through [step] *)
+let step_set step set =
+  let acc = ref Int_set.empty in
+  Int_set.iter (fun v -> step v (fun u -> acc := Int_set.add u !acc)) set;
+  !acc
 
 (** Strict ancestors of [id] (everything it transitively depends on). *)
-let anc g id = reachable (pre g) (pre g id)
+let anc g id = closure (iter_pre g) (step_set (iter_pre g) (Int_set.singleton id))
 
 (** Strict descendants of [id]. *)
-let des g id = reachable (suc g) (suc g id)
+let des g id = closure (iter_suc g) (succ_set g id)
 
 (** Ancestors of a set (union of strict ancestors, minus the set). *)
 let anc_of_set g set =
-  let start = Int_set.fold (fun v acc -> pre g v @ acc) set [] in
-  Int_set.diff (reachable (pre g) start) set
+  Int_set.diff (closure (iter_pre g) (step_set (iter_pre g) set)) set
 
 let des_of_set g set =
-  let start = Int_set.fold (fun v acc -> suc g v @ acc) set [] in
-  Int_set.diff (reachable (suc g) start) set
+  Int_set.diff (closure (iter_suc g) (step_set (iter_suc g) set)) set
 
 (** [G.inps(S)]: nodes outside [S] consumed by members of [S]. *)
 let inps_of g set =
@@ -246,88 +271,180 @@ let outs_of g set =
       || Int_set.exists (fun s -> not (Int_set.mem s set)) succs)
     set
 
-(** Weak connectivity of the sub-graph induced by [set]. *)
+(** Weak connectivity of the sub-graph induced by [set]: a walk from one
+    member reaches every member. *)
 let is_weakly_connected g set =
   match Int_set.choose_opt set with
   | None -> true
   | Some seed ->
-      let neighbors v =
-        List.filter (fun u -> Int_set.mem u set) (pre g v @ suc g v)
+      let seen = Array.make g.next_id false and reached = ref 0 in
+      let rec walk = function
+        | [] -> !reached = Int_set.cardinal set
+        | v :: rest ->
+            let next = ref rest in
+            let visit u =
+              if Int_set.mem u set && not seen.(u) then begin
+                seen.(u) <- true;
+                incr reached;
+                next := u :: !next
+              end
+            in
+            iter_pre g v visit;
+            iter_suc g v visit;
+            walk !next
       in
-      let visited = reachable neighbors [ seed ] in
-      Int_set.subset set visited
+      ignore (node g seed);
+      seen.(seed) <- true;
+      incr reached;
+      walk [ seed ]
 
 (** Convexity: no path from an output of [S] back into [S] through outside
     nodes ([G.inps(S) ∩ ⋃_{v∈outs(S)} des(v) = ∅]). *)
 let is_convex g set =
-  let outs = outs_of g set in
-  let desc = des_of_set g outs in
-  let inps = inps_of g set in
-  Int_set.is_empty (Int_set.inter inps desc)
+  let inp = Array.make g.next_id false in
+  Int_set.iter
+    (fun v ->
+      Array.iter
+        (fun p -> if not (Int_set.mem p set) then inp.(p) <- true)
+        (node g v).inputs)
+    set;
+  (* walk the descendants of outs(S), stopping at the first input of S *)
+  let seen = Array.make g.next_id false in
+  let push acc s =
+    if seen.(s) then acc
+    else begin
+      seen.(s) <- true;
+      s :: acc
+    end
+  in
+  let rec walk = function
+    | [] -> true
+    | v :: rest ->
+        (not inp.(v)) && walk (Int_set.fold (fun s acc -> push acc s) (succ_set g v) rest)
+  in
+  walk
+    (Int_set.fold
+       (fun o acc -> Int_set.fold (fun s acc -> push acc s) (succ_set g o) acc)
+       (outs_of g set) [])
+
+(** Weakly-connected components of the sub-graph induced by [set]:
+    [labels.(v)] numbers the component of each member [v], in order of
+    the components' smallest members; other slots hold -1. *)
+let component_labels g set =
+  let labels = Array.make g.next_id (-1) and count = ref 0 in
+  Int_set.iter
+    (fun v ->
+      if v < 0 || v >= g.next_id then ignore (node g v);
+      labels.(v) <- -2)
+    set;
+  let visit c stack u =
+    if labels.(u) = -2 then begin
+      labels.(u) <- c;
+      stack := u :: !stack
+    end
+  in
+  Int_set.iter
+    (fun seed ->
+      if labels.(seed) = -2 then begin
+        let c = !count in
+        incr count;
+        let stack = ref [] in
+        visit c stack seed;
+        let rec go () =
+          match !stack with
+          | [] -> ()
+          | v :: rest ->
+              stack := rest;
+              Array.iter (visit c stack) (node g v).inputs;
+              Int_set.iter (visit c stack) (succ_set g v);
+              go ()
+        in
+        go ()
+      end)
+    set;
+  (labels, !count)
 
 (** Weakly-connected components of the sub-graph induced by [set]. *)
 let components_of g set =
-  let rec all acc remaining =
-    match Int_set.choose_opt remaining with
-    | None -> List.rev acc
-    | Some seed ->
-        let neighbors v =
-          List.filter (fun u -> Int_set.mem u remaining) (pre g v @ suc g v)
-        in
-        let comp = reachable neighbors [ seed ] in
-        let comp = Int_set.add seed comp in
-        all (comp :: acc) (Int_set.diff remaining comp)
-  in
-  all [] set
+  let labels, count = component_labels g set in
+  let comps = Array.make count [] in
+  Int_set.iter (fun v -> comps.(labels.(v)) <- v :: comps.(labels.(v))) set;
+  Array.to_list (Array.map (fun l -> Int_set.of_list l) comps)
 
 (* ------------------------------------------------------------------ *)
 (* Topological order                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Deterministic Kahn topological order (smallest ready id first). *)
+(** Deterministic Kahn topological order (smallest ready id first).
+    In-degrees live in an array indexed by node id and the ready set is
+    a binary min-heap of ids, so the walk allocates only its result. *)
 let topo_order g =
-  let indeg = Hashtbl.create (n_nodes g) in
-  iter
-    (fun n ->
-      Hashtbl.replace indeg n.id
-        (List.length (List.filter (fun p -> mem g p) (pre g n.id))))
-    g;
-  let module Pq = Set.Make (Int) in
-  let ready =
-    Hashtbl.fold (fun id d acc -> if d = 0 then Pq.add id acc else acc) indeg Pq.empty
+  (* distinct member operands: [s] is in [succ_set g v] exactly when [v]
+     is one of its operands *)
+  let indeg = Array.make g.next_id 0 in
+  Int_map.iter
+    (fun v consumers ->
+      if mem g v then Int_set.iter (fun s -> indeg.(s) <- indeg.(s) + 1) consumers)
+    g.succs;
+  let heap = Array.make (max 1 (n_nodes g)) 0 and size = ref 0 in
+  let push v =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) > v do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- v
   in
-  let rec go ready acc =
-    match Pq.min_elt_opt ready with
-    | None -> List.rev acc
-    | Some v ->
-        let ready = Pq.remove v ready in
-        let ready =
-          List.fold_left
-            (fun r s ->
-              let d = Hashtbl.find indeg s - 1 in
-              Hashtbl.replace indeg s d;
-              if d = 0 then Pq.add s r else r)
-            ready (suc g v)
-        in
-        go ready (v :: acc)
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) and i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= !size then moving := false
+      else
+        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else moving := false
+    done;
+    heap.(!i) <- last;
+    top
   in
-  let order = go ready [] in
-  if List.length order <> n_nodes g then
-    invalid_arg "Graph.topo_order: graph has a cycle";
-  order
+  iter (fun n -> if indeg.(n.id) = 0 then push n.id) g;
+  let acc = ref [] and count = ref 0 in
+  while !size > 0 do
+    let v = pop () in
+    acc := v :: !acc;
+    incr count;
+    Int_set.iter
+      (fun s ->
+        let d = indeg.(s) - 1 in
+        indeg.(s) <- d;
+        if d = 0 then push s)
+      (succ_set g v)
+  done;
+  if !count <> n_nodes g then invalid_arg "Graph.topo_order: graph has a cycle";
+  List.rev !acc
 
 (** Check that [order] is a permutation of the node set respecting all data
     dependencies. *)
 let is_valid_order g order =
-  let pos = Hashtbl.create (List.length order) in
-  List.iteri (fun i v -> Hashtbl.replace pos v i) order;
-  Hashtbl.length pos = n_nodes g
-  && List.for_all (fun v -> mem g v) order
+  List.for_all (fun v -> mem g v) order
+  &&
+  let pos = Array.make g.next_id (-1) and distinct = ref 0 in
+  List.iteri
+    (fun i v ->
+      if pos.(v) < 0 then incr distinct;
+      pos.(v) <- i)
+    order;
+  !distinct = n_nodes g
   && List.for_all
        (fun v ->
-         List.for_all
-           (fun p -> Hashtbl.find pos p < Hashtbl.find pos v)
-           (pre g v))
+         Array.for_all (fun p -> pos.(p) < pos.(v)) (node g v).inputs)
        order
 
 (** DFS-based order that visits operands right before their first consumer;

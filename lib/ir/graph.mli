@@ -7,18 +7,27 @@
 module Int_map = Util.Int_map
 module Int_set = Util.Int_set
 
-type node = {
+type node = private {
   id : int;
   op : Op.kind;
   shape : Shape.t;
   label : string;  (** human-readable name, for debugging/printing *)
   inputs : int array;  (** operand slots, in order *)
+  op_fp : int64;
+      (** [Op.fingerprint op].  Derived: set only by {!add} and
+          {!add_input}, so hashing and cost lookups never re-format the
+          operator name *)
+  shape_hash : int64;  (** [Shape.hash shape].  Derived, like [op_fp] *)
 }
 
 type t
 
 val empty : t
 val n_nodes : t -> int
+
+(** Every node id is below [id_bound g], so arrays of that length can be
+    indexed by node id. *)
+val id_bound : t -> int
 val mem : t -> int -> bool
 
 (** Raises [Invalid_argument] on an unknown id. *)
@@ -96,8 +105,14 @@ val is_weakly_connected : t -> Int_set.t -> bool
 (** Convexity: no path leaves [S] and re-enters it. *)
 val is_convex : t -> Int_set.t -> bool
 
-(** Weakly-connected components of the induced sub-graph. *)
+(** Weakly-connected components of the induced sub-graph, in order of
+    their smallest members. *)
 val components_of : t -> Int_set.t -> Int_set.t list
+
+(** The same components as labels: [labels.(v)] is the index in
+    {!components_of} of member [v]'s component (-1 for non-members), in
+    an array of length {!id_bound}; the second result is their number. *)
+val component_labels : t -> Int_set.t -> int array * int
 
 (** {1 Topological order} *)
 

@@ -88,6 +88,27 @@ let pp ppf t =
 
 let to_string t = Fmt.str "%a" pp t
 
+(* [Util.hash_string (dtype_name d)], computed once per dtype *)
+let dtype_hash =
+  let f32 = Util.hash_string "f32" and tf32 = Util.hash_string "tf32"
+  and bf16 = Util.hash_string "bf16" and f16 = Util.hash_string "f16"
+  and i64 = Util.hash_string "i64" and i32 = Util.hash_string "i32"
+  and bool = Util.hash_string "bool" in
+  function
+  | F32 -> f32
+  | TF32 -> tf32
+  | BF16 -> bf16
+  | F16 -> f16
+  | I64 -> i64
+  | I32 -> i32
+  | Bool -> bool
+
+(* equal to [hash_combine (dtype_hash d) (Util.hash_int_list dims)],
+   without building the list *)
 let hash t =
-  let h = Util.hash_string (dtype_name t.dtype) in
-  Util.hash_combine h (Util.hash_int_list (Array.to_list t.dims))
+  let dims =
+    Array.fold_left
+      (fun h x -> Util.hash_combine h (Int64.of_int x))
+      Util.hash_int_list_seed t.dims
+  in
+  Util.hash_combine (dtype_hash t.dtype) dims

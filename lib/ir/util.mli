@@ -14,6 +14,10 @@ val hash_combine : int64 -> int64 -> int64
 val hash_string : string -> int64
 val hash_int_list : int list -> int64
 
+(** Initial accumulator of {!hash_int_list}, for folds over other
+    containers that must hash equal to the list of their elements. *)
+val hash_int_list_seed : int64
+
 (** [take n xs] is the first [n] elements of [xs] (all of them if
     shorter). *)
 val take : int -> 'a list -> 'a list

@@ -8,27 +8,28 @@
 
 module Int_map = Util.Int_map
 
-(** Per-node WL labels in topological order. *)
-let node_labels (g : Graph.t) : int64 Int_map.t =
-  let order = Graph.topo_order g in
-  List.fold_left
-    (fun acc v ->
+(* WL labels into an array indexed by node id, in topological order *)
+let label_array (g : Graph.t) : int64 array =
+  let labels = Array.make (Graph.id_bound g) 0L in
+  List.iter
+    (fun v ->
       let n = Graph.node g v in
-      let h0 = Util.hash_combine (Op.fingerprint n.op) (Shape.hash n.shape) in
+      let h0 = Util.hash_combine n.op_fp n.shape_hash in
       let h =
-        Array.fold_left
-          (fun h p -> Util.hash_combine h (Int_map.find p acc))
-          h0 n.inputs
+        Array.fold_left (fun h p -> Util.hash_combine h labels.(p)) h0 n.inputs
       in
-      Int_map.add v (Util.mix64 h) acc)
-    Int_map.empty order
+      labels.(v) <- Util.mix64 h)
+    (Graph.topo_order g);
+  labels
+
+(** Per-node WL labels. *)
+let node_labels (g : Graph.t) : int64 Int_map.t =
+  let labels = label_array g in
+  Graph.fold (fun n acc -> Int_map.add n.id labels.(n.id) acc) g Int_map.empty
 
 (** Structural hash of the whole graph (invariant under node renumbering). *)
 let hash (g : Graph.t) : int64 =
-  let labels = node_labels g in
-  let sum =
-    Int_map.fold (fun _ h acc -> Int64.add acc h) labels 0L
-  in
-  Util.mix64 sum
+  let labels = label_array g in
+  Util.mix64 (Graph.fold (fun n acc -> Int64.add acc labels.(n.id)) g 0L)
 
 let equal_structure a b = Int64.equal (hash a) (hash b)

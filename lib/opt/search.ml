@@ -476,12 +476,10 @@ type proposal = {
 (** Proposals reached by F-Tree mutations: the graph is unchanged, the
     virtual fission state moves. *)
 let ftree_proposals _cfg stats (s : Mstate.t) : proposal list =
-  let muts =
-    timed stats
-      (fun dt -> stats.t_transform <- stats.t_transform +. dt)
-      (fun () -> ())
-      (fun () -> Ftree.mutations s.graph s.ftree)
-  in
+  timed stats
+    (fun dt -> stats.t_transform <- stats.t_transform +. dt)
+    (fun () -> ())
+  @@ fun () ->
   List.filter_map
     (fun m ->
       stats.n_transform <- stats.n_transform + 1;
@@ -501,7 +499,7 @@ let ftree_proposals _cfg stats (s : Mstate.t) : proposal list =
           Some
             { p_graph = s.graph; p_ftree = ftree'; p_mutated = affected;
               p_stale = s.ftree_stale })
-    muts
+    (Ftree.mutations s.graph s.ftree)
 
 (** Proposals reached by graph rewrites (scheduling-based and TASO rules). *)
 let rewrite_proposals (cfg : config) stats (s : Mstate.t) : proposal list =
@@ -522,18 +520,16 @@ let rewrite_proposals (cfg : config) stats (s : Mstate.t) : proposal list =
   in
   List.concat_map
     (fun (rule : Rule.t) ->
-      let rewrites =
-        timed stats
-          (fun dt -> stats.t_transform <- stats.t_transform +. dt)
-          (fun () -> ())
-          (fun () -> rule.apply ctx s.graph)
-      in
-      List.map
-        (fun (rw : Rule.rewrite) ->
-          stats.n_transform <- stats.n_transform + 1;
-          { p_graph = rw.graph; p_ftree = Ftree.prune rw.graph s.ftree;
-            p_mutated = rw.touched_old; p_stale = true })
-        rewrites)
+      timed stats
+        (fun dt -> stats.t_transform <- stats.t_transform +. dt)
+        (fun () -> ())
+        (fun () ->
+          List.map
+            (fun (rw : Rule.rewrite) ->
+              stats.n_transform <- stats.n_transform + 1;
+              { p_graph = rw.graph; p_ftree = Ftree.prune rw.graph s.ftree;
+                p_mutated = rw.touched_old; p_stale = true })
+            (rule.apply ctx s.graph)))
     rules
 
 (** Everything a worker needs to evaluate proposals: the operator-cost
@@ -701,8 +697,9 @@ let bound_prunes (cfg : config) stats ~bound_check ~incr_parent ~state_hash
     in the simulation cache.  [state_hash] is the proposal's dedup hash
     (WL ⊕ F-Tree fingerprint), already computed by the hash phase;
     [parent_sched_hash] digests the schedule being incrementally
-    rewritten; [sched_states] is the effective DP budget (the config's,
-    unless the degradation ladder stepped it down).  Returns [None]
+    rewritten, and [parent] is its reschedule context; [sched_states]
+    is the effective DP budget (the config's, unless the degradation
+    ladder stepped it down).  Returns [None]
     when the bound probe prunes the candidate: on a cache miss only, an
     admissible lower bound already above the δ-relaxed incumbent
     threshold proves the evaluation could neither improve the best
@@ -713,7 +710,8 @@ let bound_prunes (cfg : config) stats ~bound_check ~incr_parent ~state_hash
     caches. *)
 let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
     ~incr_parent ~sched_states ~iteration ~state_hash ~parent_sched_hash
-    (s : Mstate.t) (p : proposal) : Mstate.t option =
+    (parent : Magis_sched.Incremental.parent) (p : proposal) : Mstate.t option
+    =
   let key =
     Sim_cache.key ~state:state_hash ~parent_sched:parent_sched_hash
       ~mutated:(Util.hash_int_list (Int_set.elements p.p_mutated))
@@ -738,8 +736,7 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
             (fun () -> stats.n_sched <- stats.n_sched + 1)
             (fun () ->
               Magis_sched.Incremental.reschedule ~max_states:sched_states
-                ~old_graph:s.graph ~new_graph:p.p_graph
-                ~old_schedule:s.schedule ~mutated_old:p.p_mutated
+                ~parent ~new_graph:p.p_graph ~mutated_old:p.p_mutated
                 ~size_of:acc.size_of ())
         in
         if rstats.fallback then begin
@@ -774,7 +771,8 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
                optimizer bug, not a transient runtime fault *)
             raise (Verification_failure msg)
         end;
-        Sim_cache.add ~parent:s.schedule ec.ec_sim key (Mstate.to_cached s');
+        Sim_cache.add ~parent:parent.schedule ec.ec_sim key
+          (Mstate.to_cached s');
         Some s'
       end
 
@@ -822,7 +820,7 @@ type tier = Exact of Mstate.t | Cheap of Mstate.t
 
 (** Bump whenever {!snapshot} (or anything it reaches: {!Mstate.t},
     {!stats}, …) changes shape. *)
-let ckpt_version = 2
+let ckpt_version = 3
 
 (** The complete loop state: restoring it continues the search
     bit-identically — frontier, dedup set, diversification RNG, pop
@@ -1144,20 +1142,28 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
        | Some s ->
            stats.iterations <- stats.iterations + 1;
            Metrics.incr m_iterations;
-           if Sys.getenv_opt "MAGIS_TRACE" <> None then
-             Fmt.epr "[%d] pop mem=%.1fMB lat=%.2fms entries=%d enabled=%d stale=%b@."
-               stats.iterations
-               (float_of_int s.peak_mem /. 1e6)
-               (s.latency *. 1e3)
-               (Ftree.n_entries s.ftree)
-               (List.length (Ftree.enabled_indices s.ftree))
-               s.ftree_stale;
+           if Trace.enabled () then
+             Trace.instant ~cat:"search"
+               ~args:
+                 [ ("iter", string_of_int stats.iterations);
+                   ("peak_mem", string_of_int s.peak_mem);
+                   ("latency", Printf.sprintf "%.17g" s.latency);
+                   ("entries", string_of_int (Ftree.n_entries s.ftree));
+                   ( "enabled",
+                     string_of_int
+                       (List.length (Ftree.enabled_indices s.ftree)) );
+                   ("stale", string_of_bool s.ftree_stale) ]
+               "pop";
            (* refresh a stale F-Tree (Algorithm 3 line 13-14) *)
            let s =
              if s.ftree_stale && config.ablation.use_ftree_heuristic then
                let ftree =
-                 Ftree.refresh ~max_level:config.ablation.max_level s.graph
-                   ~old_tree:s.ftree ~hotspots:s.hotspots
+                 timed stats
+                   (fun dt -> stats.t_transform <- stats.t_transform +. dt)
+                   (fun () -> ())
+                   (fun () ->
+                     Ftree.refresh ~max_level:config.ablation.max_level
+                       s.graph ~old_tree:s.ftree ~hotspots:s.hotspots)
                in
                { s with ftree; ftree_stale = false }
              else { s with ftree_stale = false }
@@ -1172,25 +1178,34 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
            in
            (* Phase 1 (parallel): structural hash of every candidate.
               Hash test FIRST: duplicate graphs skip scheduling and
-              simulation entirely (the Fig. 15 "Filtered" column). *)
+              simulation entirely (the Fig. 15 "Filtered" column).
+              F-Tree proposals share the parent graph, which is hashed
+              once, here; [n_hash] counts real graph hashes. *)
+           let parent_wl =
+             if Array.exists (fun p -> p.p_graph == s.graph) proposals then
+               timed stats
+                 (fun dt -> stats.t_hash <- stats.t_hash +. dt)
+                 (fun () -> stats.n_hash <- stats.n_hash + 1)
+                 (fun () -> Wl_hash.hash s.graph)
+             else 0L
+           in
            let hashed =
              Trace.with_span ~cat:"search" "phase-hash" @@ fun () ->
              supervised_map ~phase:"hash"
                (fun (p : proposal) ->
                  let t0 = Unix.gettimeofday () in
-                 let h =
-                   Util.hash_combine (Wl_hash.hash p.p_graph)
-                     (Ftree.fingerprint p.p_ftree)
-                 in
-                 (p, h, Unix.gettimeofday () -. t0))
+                 let own = p.p_graph != s.graph in
+                 let wl = if own then Wl_hash.hash p.p_graph else parent_wl in
+                 let h = Util.hash_combine wl (Ftree.fingerprint p.p_ftree) in
+                 (p, h, own, Unix.gettimeofday () -. t0))
                proposals
            in
            Array.iter
              (function
                | None -> ()
-               | Some (_, _, dt) ->
+               | Some (_, _, own, dt) ->
                    stats.t_hash <- stats.t_hash +. dt;
-                   stats.n_hash <- stats.n_hash + 1)
+                   if own then stats.n_hash <- stats.n_hash + 1)
              hashed;
            (* Phase 2 (serial, candidate order): dedup against every
               state seen so far.  First occurrence wins, exactly as in a
@@ -1199,7 +1214,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
              Array.to_list hashed
              |> List.filter_map (function
                   | None -> None (* quarantined in the hash phase *)
-                  | Some ((p : proposal), h, _) ->
+                  | Some ((p : proposal), h, _, _) ->
                       if Hashtbl.mem seen h then begin
                         stats.n_filtered <- stats.n_filtered + 1;
                         None
@@ -1218,6 +1233,18 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
               freezing it keeps prune decisions independent of worker
               scheduling. *)
            let parent_sched_hash = Util.hash_int_list s.schedule in
+           (* the parent's reschedule context (narrow-waist table) is
+              shared by every survivor of the iteration *)
+           let parent =
+             if Array.length survivors = 0 then None
+             else
+               Some
+                 (timed stats
+                    (fun dt -> stats.t_sched <- stats.t_sched +. dt)
+                    (fun () -> ())
+                    (fun () ->
+                      Magis_sched.Incremental.parent s.graph s.schedule))
+           in
            let iteration = stats.iterations in
            let sched_states = eff_sched_states () in
            let bound_check =
@@ -1263,7 +1290,7 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                        (fun st -> Exact st)
                        (evaluate_proposal config ec local ~bound_check
                           ~incr_parent ~sched_states ~iteration ~state_hash:h
-                          ~parent_sched_hash s p)
+                          ~parent_sched_hash (Option.get parent) p)
                  in
                  (r, local))
                survivors
@@ -1320,7 +1347,8 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                           match
                             evaluate_proposal config ec stats ~bound_check
                               ~incr_parent ~sched_states ~iteration
-                              ~state_hash:h ~parent_sched_hash s p
+                              ~state_hash:h ~parent_sched_hash
+                              (Option.get parent) p
                           with
                           | None -> ()
                           | Some s' -> admit s'

@@ -1,8 +1,9 @@
 (** Incremental scheduling (Algorithm 2 of the paper).
 
-    After a transformation turns [old_graph] into [new_graph] by rewriting
-    the nodes [mutated_old], only a window of the old schedule around the
-    rewritten region needs rescheduling.  [GetRescheduleInterval] widens
+    After a transformation turns the parent graph into [new_graph] by
+    rewriting the nodes [mutated_old], only a window of the parent's
+    schedule around the rewritten region needs rescheduling.
+    [GetRescheduleInterval] widens
     the window until it hits good cut points — nodes with small
     narrow-waist values — using the paper's empirical thresholds
     (l < 20, nw < 4, n̂ > 10).  The nodes of the new graph that are not in
@@ -18,37 +19,51 @@ type stats = {
   fallback : bool;  (** the splice failed and the whole graph was rescheduled *)
 }
 
-let extend_bound (g : Graph.t) (psi : int array) (i : int) (d : int) : int =
-  let n = Array.length psi in
+(** What every reschedule against one parent state shares: its graph and
+    schedule, the schedule as an array ([psi]) and the narrow-waist value
+    of every node ({!Partition.nw_table}).  Built once per popped parent,
+    immutable afterwards, so worker domains read it concurrently. *)
+type parent = {
+  graph : Graph.t;
+  schedule : int list;
+  psi : int array;
+  nw : int array;
+}
+
+let parent graph schedule =
+  { graph; schedule; psi = Array.of_list schedule;
+    nw = Partition.nw_table graph }
+
+let extend_bound (p : parent) (i : int) (d : int) : int =
+  let n = Array.length p.psi in
   let clamp i = max 0 (min (n - 1) i) in
   let rec go i n_hat l =
     if i < 0 then 0
     else if i >= n then n - 1
     else
-      let w = Partition.nw g psi.(i) in
+      let w = p.nw.(p.psi.(i)) in
       if l < 20 && (n_hat > 10 || w < 4) && w < n_hat then
         go (i + d) w (l + 1)
       else i
   in
   clamp (go i max_int 0)
 
-let get_reschedule_interval (g : Graph.t) (psi : int array)
-    (positions : int list) : int * int =
+let get_reschedule_interval (p : parent) (positions : int list) : int * int =
   let lo = List.fold_left min max_int positions in
   let hi = List.fold_left max min_int positions in
-  let beg = extend_bound g psi lo (-1) in
-  let end_ = extend_bound g psi hi 1 in
+  let beg = extend_bound p lo (-1) in
+  let end_ = extend_bound p hi 1 in
   (beg, end_ + 1)
 
-(** [reschedule ~old_graph ~new_graph ~old_schedule ~mutated_old ~size_of]
-    computes a schedule for [new_graph], reusing the parts of
-    [old_schedule] outside the rewritten window.  [mutated_old] are the
-    nodes of [old_graph] removed or structurally affected by the
-    transformation (for a pure F-Tree mutation, the fission region
-    itself).  Falls back to full scheduling if splicing fails. *)
-let reschedule ?(max_states = 20_000) ~(old_graph : Graph.t)
-    ~(new_graph : Graph.t) ~(old_schedule : int list)
-    ~(mutated_old : Int_set.t) ~size_of () : int list * stats =
+(** [reschedule ~parent ~new_graph ~mutated_old ~size_of] computes a
+    schedule for [new_graph], reusing the parts of [parent]'s schedule
+    outside the rewritten window.  [mutated_old] are the nodes of the
+    parent graph removed or structurally affected by the transformation
+    (for a pure F-Tree mutation, the fission region itself).  Falls back
+    to full scheduling if splicing fails. *)
+let reschedule ?(max_states = 20_000) ~(parent : parent)
+    ~(new_graph : Graph.t) ~(mutated_old : Int_set.t) ~size_of () :
+    int list * stats =
   (* [attempted] preserves the window the splice tried before failing, so
      callers can still see where the rewrite landed instead of the
      meaningless whole-schedule interval the fallback used to report. *)
@@ -59,16 +74,14 @@ let reschedule ?(max_states = 20_000) ~(old_graph : Graph.t)
     in
     (order, { interval; rescheduled = List.length order; fallback = true })
   in
-  let psi = Array.of_list old_schedule in
-  let positions =
-    List.filteri (fun _ _ -> true) old_schedule
-    |> List.mapi (fun i v -> (i, v))
-    |> List.filter_map (fun (i, v) ->
-           if Int_set.mem v mutated_old then Some i else None)
-  in
-  if positions = [] || Array.length psi = 0 then full ()
+  let psi = parent.psi in
+  let positions = ref [] in
+  for i = Array.length psi - 1 downto 0 do
+    if Int_set.mem psi.(i) mutated_old then positions := i :: !positions
+  done;
+  if !positions = [] then full ()
   else
-    let beg, end_ = get_reschedule_interval old_graph psi positions in
+    let beg, end_ = get_reschedule_interval parent !positions in
     let keep v = Graph.mem new_graph v in
     let prefix =
       Array.to_list (Array.sub psi 0 beg) |> List.filter keep

@@ -20,19 +20,30 @@ type stats = {
           ["search.sched_fallbacks"] metric *)
 }
 
+(** Per-parent context shared by every reschedule against one parent
+    state: built once per popped parent, immutable afterwards. *)
+type parent = private {
+  graph : Graph.t;
+  schedule : int list;
+  psi : int array;  (** [schedule] as an array *)
+  nw : int array;  (** {!Partition.nw_table}[ graph] *)
+}
+
+(** [parent graph schedule] builds the context (one narrow-waist pass). *)
+val parent : Graph.t -> int list -> parent
+
 (** The paper's [ExtendBound] (clamped to the schedule). *)
-val extend_bound : Graph.t -> int array -> int -> int -> int
+val extend_bound : parent -> int -> int -> int
 
 (** The paper's [GetRescheduleInterval]. *)
-val get_reschedule_interval : Graph.t -> int array -> int list -> int * int
+val get_reschedule_interval : parent -> int list -> int * int
 
-(** Splice a re-scheduled window into the old schedule; falls back to full
-    scheduling when splicing fails. *)
+(** Splice a re-scheduled window into the parent's schedule; falls back
+    to full scheduling when splicing fails. *)
 val reschedule :
   ?max_states:int ->
-  old_graph:Graph.t ->
+  parent:parent ->
   new_graph:Graph.t ->
-  old_schedule:int list ->
   mutated_old:Int_set.t ->
   size_of:(int -> int) ->
   unit ->

@@ -17,37 +17,51 @@ let pinned (g : Graph.t) (v : int) =
   Op.is_weight n.op
   || (Int_set.is_empty (Graph.succ_set g v) && not (Op.is_input n.op))
 
-(** Narrow-waist value of [v] within the sub-graph induced by [members]
-    (defaults to the whole graph). *)
-let nw ?members (g : Graph.t) (v : int) : int =
-  let keep =
-    match members with
-    | None -> fun _ -> true
-    | Some s -> fun u -> Int_set.mem u s
+(* set bits of a bitset word (any sign: each step clears the lowest) *)
+let popcount x =
+  let rec go x c = if x = 0 then c else go (x land (x - 1)) (c + 1) in
+  go x 0
+
+(** Narrow-waist value of every node, indexed by node id:
+    [(nw_table g).(v) = |V| - |anc(v)| - |des(v)| - 1] for each node [v]
+    of [g] (slots of absent ids hold 0).  One pass in topological order
+    builds every node's ancestor set as a bitset over topological
+    positions (the union of its operands' sets and the operands
+    themselves); a reverse pass does the same for descendants, reusing
+    the buffer. *)
+let nw_table (g : Graph.t) : int array =
+  let order = Array.of_list (Graph.topo_order g) in
+  let n = Array.length order in
+  let pos = Array.make (Graph.id_bound g) 0 in
+  Array.iteri (fun i v -> pos.(v) <- i) order;
+  let bits = Sys.int_size in
+  let words = (n + bits - 1) / bits in
+  let rows = Array.make (n * words) 0 in
+  let add_row i j =
+    let ri = i * words and rj = j * words in
+    for w = 0 to words - 1 do
+      rows.(ri + w) <- rows.(ri + w) lor rows.(rj + w)
+    done;
+    rows.(ri + (j / bits)) <- rows.(ri + (j / bits)) lor (1 lsl (j mod bits))
   in
-  let total =
-    match members with
-    | None -> Graph.n_nodes g
-    | Some s -> Int_set.cardinal s
+  let count i =
+    let c = ref 0 in
+    for w = i * words to ((i + 1) * words) - 1 do
+      c := !c + popcount rows.(w)
+    done;
+    !c
   in
-  let bfs step =
-    let rec go visited frontier =
-      match frontier with
-      | [] -> visited
-      | u :: rest ->
-          let nexts =
-            List.filter
-              (fun w -> keep w && not (Int_set.mem w visited))
-              (step u)
-          in
-          go
-            (List.fold_left (fun acc w -> Int_set.add w acc) visited nexts)
-            (nexts @ rest)
-    in
-    go Int_set.empty [ v ]
-  in
-  let anc = bfs (Graph.pre g) and des = bfs (Graph.suc g) in
-  total - Int_set.cardinal anc - Int_set.cardinal des - 1
+  let table = Array.make (Graph.id_bound g) 0 in
+  for i = 0 to n - 1 do
+    Array.iter (fun p -> add_row i pos.(p)) (Graph.node g order.(i)).inputs;
+    table.(order.(i)) <- n - count i - 1
+  done;
+  Array.fill rows 0 (Array.length rows) 0;
+  for i = n - 1 downto 0 do
+    Int_set.iter (fun s -> add_row i pos.(s)) (Graph.succ_set g order.(i));
+    table.(order.(i)) <- table.(order.(i)) - count i
+  done;
+  table
 
 (** Partition the sub-graph induced by [members] into blocks that can be
     scheduled independently and concatenated.  A cut is taken after
@@ -63,37 +77,35 @@ let nw ?members (g : Graph.t) (v : int) : int =
     by the POFO baseline's chainification). *)
 let partition ?(max_crossing = 1) (g : Graph.t) (members : Int_set.t) :
     Int_set.t list =
+  let bound = Graph.id_bound g in
+  let comp, n_comps = Graph.component_labels g members in
+  (* each component's members in topological order *)
   let topo = Graph.topo_order g in
-  let topo_pos = Hashtbl.create (List.length topo) in
-  List.iteri (fun i v -> Hashtbl.replace topo_pos v i) topo;
+  let topo_pos = Array.make bound 0 in
+  let by_comp = Array.make n_comps [] in
+  List.iteri
+    (fun i v ->
+      topo_pos.(v) <- i;
+      if comp.(v) >= 0 then by_comp.(comp.(v)) <- v :: by_comp.(comp.(v)))
+    topo;
+  (* position of a member within its component's order, -1 elsewhere: a
+     member's in-member consumers always lie in its own component *)
+  let pos_in = Array.make bound (-1) in
+  (* blocks come back sorted, so components may go in any order *)
   let blocks =
     List.concat_map
-      (fun comp ->
-        let ordered = List.filter (fun v -> Int_set.mem v comp) topo in
-        let n = List.length ordered in
-        let pos_in = Hashtbl.create n in
-        List.iteri (fun i v -> Hashtbl.replace pos_in v i) ordered;
-        (* last in-component consumer position of each node *)
-        let last_use = Hashtbl.create n in
-        List.iter
-          (fun v ->
-            let i = Hashtbl.find pos_in v in
-            let l =
-              List.fold_left
-                (fun acc s ->
-                  match Hashtbl.find_opt pos_in s with
-                  | Some j -> max acc j
-                  | None -> acc)
-                i (Graph.suc g v)
-            in
-            Hashtbl.replace last_use v l)
-          ordered;
+      (fun rev_ordered ->
+        let ordered = Array.of_list (List.rev rev_ordered) in
+        let n = Array.length ordered in
+        Array.iteri (fun i v -> pos_in.(v) <- i) ordered;
         (* sweep: number of tensors produced at <= i and used at > i *)
         let crossing = Array.make (max n 1) 0 in
-        List.iter
-          (fun v ->
-            let i = Hashtbl.find pos_in v in
-            let l = Hashtbl.find last_use v in
+        Array.iteri
+          (fun i v ->
+            (* last in-component consumer position *)
+            let l =
+              Int_set.fold (fun s acc -> max acc pos_in.(s)) (Graph.succ_set g v) i
+            in
             (* v crosses every boundary between i and l-1 *)
             if l > i && not (pinned g v) then begin
               crossing.(i) <- crossing.(i) + 1;
@@ -102,7 +114,7 @@ let partition ?(max_crossing = 1) (g : Graph.t) (members : Int_set.t) :
           ordered;
         let segments = ref [] and current = ref [] in
         let open_count = ref 0 in
-        List.iteri
+        Array.iteri
           (fun i v ->
             current := v :: !current;
             open_count := !open_count + crossing.(i);
@@ -114,14 +126,10 @@ let partition ?(max_crossing = 1) (g : Graph.t) (members : Int_set.t) :
             end)
           ordered;
         if !current <> [] then segments := List.rev !current :: !segments;
-        List.rev_map Int_set.of_list !segments)
-      (Graph.components_of g members)
+        (* a segment's earliest node is its first *)
+        List.rev_map (fun seg -> (topo_pos.(List.hd seg), Int_set.of_list seg))
+          !segments)
+      (Array.to_list by_comp)
   in
   (* order blocks by the topological position of their earliest node *)
-  List.sort
-    (fun a b ->
-      let key s =
-        Int_set.fold (fun v acc -> min acc (Hashtbl.find topo_pos v)) s max_int
-      in
-      compare (key a) (key b))
-    blocks
+  List.sort (fun (a, _) (b, _) -> compare a b) blocks |> List.map snd

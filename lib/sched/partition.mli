@@ -6,9 +6,10 @@ module Int_set = Util.Int_set
 (** Weights and graph outputs: never freed, ignored when cutting. *)
 val pinned : Graph.t -> int -> bool
 
-(** Narrow-waist value [nw(v) = |V| - |anc(v)| - |des(v)| - 1], within the
-    sub-graph induced by [members] when given. *)
-val nw : ?members:Int_set.t -> Graph.t -> int -> int
+(** Narrow-waist value [nw(v) = |V| - |anc(v)| - |des(v)| - 1] of every
+    node, in an array indexed by node id (length {!Graph.id_bound}); one
+    bitset pass over the graph. *)
+val nw_table : Graph.t -> int array
 
 (** Cut each weakly-connected component where the dependence frontier
     narrows to at most [max_crossing] live tensors (linear-time

@@ -82,55 +82,47 @@ let greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
 
     let compare = compare
   end) in
+  (* per-node state in arrays indexed by node id *)
+  let bound = Graph.id_bound g in
+  let member = Array.make bound false in
+  Int_set.iter (fun v -> member.(v) <- true) members;
   (* remaining in-member consumers; a tensor with an out-of-member consumer
      or pinned never dies inside this block *)
-  let remaining = Hashtbl.create 64 in
-  let freeable = Hashtbl.create 64 in
+  let remaining = Array.make bound 0 in
+  let freeable = Array.make bound false in
   Int_set.iter
     (fun v ->
       let succs = Graph.succ_set g v in
-      let in_members = Int_set.filter (fun s -> Int_set.mem s members) succs in
-      Hashtbl.replace remaining v (Int_set.cardinal in_members);
-      Hashtbl.replace freeable v
-        (Int_set.cardinal in_members = Int_set.cardinal succs
-        && not (pinned g v)))
+      let inside = Int_set.fold (fun s n -> if member.(s) then n + 1 else n) succs 0 in
+      remaining.(v) <- inside;
+      freeable.(v) <- inside = Int_set.cardinal succs && not (pinned g v))
     members;
-  let in_member_preds v =
-    List.filter (fun u -> Int_set.mem u members) (Graph.pre g v)
-  in
-  let missing = Hashtbl.create 64 in
-  Int_set.iter
-    (fun v -> Hashtbl.replace missing v (List.length (in_member_preds v)))
-    members;
+  (* distinct, ascending *)
+  let in_member_preds v = List.filter (fun u -> member.(u)) (Graph.pre g v) in
+  let missing = Array.make bound 0 in
+  Int_set.iter (fun v -> missing.(v) <- List.length (in_member_preds v)) members;
   (* net bytes freed if v ran now *)
   let potential_freed v =
     let from_preds =
       List.fold_left
         (fun acc u ->
-          if Hashtbl.find remaining u = 1 && Hashtbl.find freeable u then
-            acc + size_of u
-          else acc)
-        0
-        (List.sort_uniq compare (in_member_preds v))
+          if remaining.(u) = 1 && freeable.(u) then acc + size_of u else acc)
+        0 (in_member_preds v)
     in
-    if Hashtbl.find remaining v = 0 && Hashtbl.find freeable v then
-      from_preds + size_of v
+    if remaining.(v) = 0 && freeable.(v) then from_preds + size_of v
     else from_preds
   in
   let key v = (size_of v - potential_freed v, size_of v, v) in
-  let current_key = Hashtbl.create 64 in
+  (* the key a queued node is filed under *)
+  let current_key = Array.make bound None in
   let q = ref Km.empty in
   let enqueue v =
     let k = key v in
-    (match Hashtbl.find_opt current_key v with
-    | Some old -> q := Km.remove old !q
-    | None -> ());
-    Hashtbl.replace current_key v k;
+    (match current_key.(v) with Some old -> q := Km.remove old !q | None -> ());
+    current_key.(v) <- Some k;
     q := Km.add k v !q
   in
-  Int_set.iter
-    (fun v -> if Hashtbl.find missing v = 0 then enqueue v)
-    members;
+  Int_set.iter (fun v -> if missing.(v) = 0 then enqueue v) members;
   let acc = ref [] in
   let continue_ = ref true in
   while !continue_ do
@@ -138,32 +130,31 @@ let greedy_schedule ~size_of (g : Graph.t) (members : Int_set.t) : int list =
     | None -> continue_ := false
     | Some (k, v) ->
         q := Km.remove k !q;
-        Hashtbl.remove current_key v;
+        current_key.(v) <- None;
         acc := v :: !acc;
         (* consume operands *)
         let touched = ref [] in
         List.iter
           (fun u ->
-            let r = Hashtbl.find remaining u - 1 in
-            Hashtbl.replace remaining u r;
+            let r = remaining.(u) - 1 in
+            remaining.(u) <- r;
             if r = 1 then
               (* u's last consumer becomes the one that frees it: re-key
                  u's remaining ready consumer *)
               Int_set.iter
-                (fun c ->
-                  if Hashtbl.mem current_key c then touched := c :: !touched)
+                (fun c -> if Option.is_some current_key.(c) then touched := c :: !touched)
                 (Graph.succ_set g u))
-          (List.sort_uniq compare (in_member_preds v));
+          (in_member_preds v);
         (* release newly ready successors *)
-        List.iter
+        Int_set.iter
           (fun s ->
-            if Int_set.mem s members then begin
-              let m = Hashtbl.find missing s - 1 in
-              Hashtbl.replace missing s m;
+            if member.(s) then begin
+              let m = missing.(s) - 1 in
+              missing.(s) <- m;
               if m = 0 then enqueue s
             end)
-          (Graph.suc g v);
-        List.iter (fun c -> if Hashtbl.mem current_key c then enqueue c) !touched
+          (Graph.succ_set g v);
+        List.iter (fun c -> if Option.is_some current_key.(c) then enqueue c) !touched
   done;
   List.rev !acc
 

@@ -86,6 +86,12 @@ let check_sorted msg expected actual =
 let valid_order_of g order = Alcotest.(check bool) "valid order" true
     (Graph.is_valid_order g order)
 
+(** [contains hay needle]: substring test. *)
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  ln = 0 || go 0
+
 let tc name f = Alcotest.test_case name `Quick f
 
 (** The budgeted Table-2-style LM benchmark shared by the search-level

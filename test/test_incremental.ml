@@ -35,8 +35,8 @@ let test_incremental_valid () =
   | Some rw ->
       let size_of v = Lifetime.default_size rw.graph v in
       let order, stats =
-        Incremental.reschedule ~old_graph:g ~new_graph:rw.graph
-          ~old_schedule:schedule ~mutated_old:rw.touched_old ~size_of ()
+        Incremental.reschedule ~parent:(Incremental.parent g schedule)
+          ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
       in
       valid_order_of rw.graph order;
       Alcotest.(check bool) "rescheduled fewer nodes than full" true
@@ -52,8 +52,8 @@ let test_incremental_matches_full_quality () =
   | Some rw ->
       let size_of v = Lifetime.default_size rw.graph v in
       let inc, _ =
-        Incremental.reschedule ~max_states:2_000 ~old_graph:g
-          ~new_graph:rw.graph ~old_schedule:schedule
+        Incremental.reschedule ~max_states:2_000
+          ~parent:(Incremental.parent g schedule) ~new_graph:rw.graph
           ~mutated_old:rw.touched_old ~size_of ()
       in
       let full = Reorder.schedule ~max_states:2_000 rw.graph in
@@ -68,17 +68,17 @@ let test_incremental_matches_full_quality () =
 
 let test_extend_bound_clamps () =
   let g, _, _, _, _ = chain3 () in
-  let psi = Array.of_list (Graph.topo_order g) in
-  let lo = Incremental.extend_bound g psi 0 (-1) in
-  let hi = Incremental.extend_bound g psi (Array.length psi - 1) 1 in
+  let p = Incremental.parent g (Graph.topo_order g) in
+  let lo = Incremental.extend_bound p 0 (-1) in
+  let hi = Incremental.extend_bound p (Array.length p.psi - 1) 1 in
   Alcotest.(check bool) "bounds in range" true
-    (lo >= 0 && hi < Array.length psi)
+    (lo >= 0 && hi < Array.length p.psi)
 
 let test_interval_covers_mutation () =
   let g = mlp_training () in
-  let psi = Array.of_list (Graph.topo_order g) in
-  let mid = Array.length psi / 2 in
-  let beg, end_ = Incremental.get_reschedule_interval g psi [ mid ] in
+  let p = Incremental.parent g (Graph.topo_order g) in
+  let mid = Array.length p.psi / 2 in
+  let beg, end_ = Incremental.get_reschedule_interval p [ mid ] in
   Alcotest.(check bool) "interval contains the mutated position" true
     (beg <= mid && mid < end_)
 
@@ -90,8 +90,8 @@ let test_full_fallback_on_empty_positions () =
   let schedule = Graph.topo_order g in
   let size_of v = Lifetime.default_size g v in
   let order, _ =
-    Incremental.reschedule ~old_graph:g ~new_graph:g ~old_schedule:schedule
-      ~mutated_old:(Int_set.singleton (-42)) ~size_of ()
+    Incremental.reschedule ~parent:(Incremental.parent g schedule)
+      ~new_graph:g ~mutated_old:(Int_set.singleton (-42)) ~size_of ()
   in
   valid_order_of g order
 
@@ -111,8 +111,8 @@ let test_sequential_rewrites_stay_valid () =
     | Some rw ->
         let size_of v = Lifetime.default_size rw.graph v in
         let order, _ =
-          Incremental.reschedule ~old_graph:!g ~new_graph:rw.graph
-            ~old_schedule:!schedule ~mutated_old:rw.touched_old ~size_of ()
+          Incremental.reschedule ~parent:(Incremental.parent !g !schedule)
+            ~new_graph:rw.graph ~mutated_old:rw.touched_old ~size_of ()
         in
         Alcotest.(check bool)
           (Printf.sprintf "valid after rewrite %d" step)

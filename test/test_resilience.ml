@@ -362,6 +362,47 @@ let test_checkpoint_rejects_foreign_run () =
   | _ -> Alcotest.fail "foreign checkpoint must be rejected"
   | exception Checkpoint.Incompatible _ -> ()
 
+(* [Graph.node] before the derived hash fields: what a format-2 snapshot
+   marshalled for every graph of its frontier *)
+type node_v2 = {
+  id : int;
+  op : Op.kind;
+  shape : Shape.t;
+  label : string;
+  inputs : int array;
+}
+
+(** Snapshots marshal [Graph.node], whose layout changed in format 3, so
+    a format-2 file for the very same run must be refused before its
+    payload is unmarshalled into the new layout. *)
+let test_checkpoint_rejects_old_format () =
+  with_temp_file @@ fun path ->
+  let c = cache () in
+  let g = randnet 7 in
+  let config =
+    { Search.default_config with
+      max_iterations = 3; time_budget = 1e9; checkpoint = ckpt path true }
+  in
+  let base = Simulator.run c g (Graph.topo_order g) in
+  let mode = Search.Min_memory { lat_limit = base.latency *. 1.10 } in
+  let fingerprint =
+    Search.trajectory_fingerprint config mode
+      ~hw:(Hardware.fingerprint Hardware.default) g
+  in
+  let old_nodes =
+    List.map
+      (fun (n : Graph.node) ->
+        { id = n.id; op = n.op; shape = n.shape; label = n.label;
+          inputs = n.inputs })
+      (Graph.nodes g)
+  in
+  Checkpoint.save ~path ~version:2 ~fingerprint old_nodes;
+  match Search.run ~config c mode g with
+  | _ -> Alcotest.fail "a format-2 snapshot must be rejected"
+  | exception Checkpoint.Incompatible msg ->
+      Alcotest.(check bool) ("rejected by its version: " ^ msg) true
+        (contains msg "format version 2, expected 3")
+
 (** SIGTERM mid-search: the run returns early with [interrupted], the
     checkpoint holds the frontier, and resuming continues exactly where
     the uninterrupted search would have been. *)
@@ -420,6 +461,7 @@ let suite =
     tc "budget exhaustion returns best-so-far" test_budget_exhaustion_best_so_far;
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
+    tc "format-2 snapshots are rejected" test_checkpoint_rejects_old_format;
     tc "checkpoints of foreign runs are rejected"
       test_checkpoint_rejects_foreign_run;
     tc "SIGTERM saves state and resumes bit-identically"

@@ -133,280 +133,152 @@ let compute ?size_of (g : Graph.t) : t =
 (* Hot-path probe                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Dense scratch representation for the search-loop probe.  The probe
-    runs on every simulation-cache miss, so it must stay well under the
-    reschedule + simulate cost it tries to save: one pass over the node
-    map into flat arrays, then array-only arithmetic — no [Liveness]
-    bitsets, no per-query [Graph.pre]/[Graph.suc] list allocation. *)
-type dense = {
-  n : int;
-  size : int array;
-  d_is_weight : bool array;
-  preds : int list array;  (** distinct operand indices *)
-  succs : int list array;
-  d_weight_bytes : int;
-  d_pinned_bytes : int;
-  total_bytes : int;
-}
+(** The search-loop probe: [(lower, total_bytes)].  It runs on every
+    simulation-cache miss, so it must stay well under the reschedule +
+    simulate cost it tries to save: one pass over the node map into
+    flat arrays indexed by node id (sizes, weight flags, operand
+    arrays), a CSR successor table built from the operands, then
+    array-only arithmetic — no [Liveness] bitsets, no list walks.
 
-let densify ?size_of (g : Graph.t) : dense =
+    Same terms as {!of_liveness}: worksets and the pinned total are
+    summed while the tables fill; the cut is evaluated at the [sample]
+    largest worksets (ties by node id), each by two stamped walks on an
+    array stack — descendants of [v] forward, then ancestors backward,
+    adding every non-weight ancestor with a consumer at or below [v]. *)
+let probe ?size_of ?sample (g : Graph.t) : int * int =
   let size_of =
     match size_of with Some f -> f | None -> Lifetime.default_size g
   in
-  let n = Graph.n_nodes g in
-  let index = Hashtbl.create n in
-  let next = ref 0 in
+  let n = Graph.n_nodes g and nb = Graph.id_bound g in
+  let ids = Array.make n 0 in
+  let size = Array.make nb 0 in
+  let is_weight = Array.make nb false and is_input = Array.make nb false in
+  let operands = Array.make nb [||] in
+  let i = ref 0 and n_slots = ref 0 and weight_bytes = ref 0 and total = ref 0 in
   Graph.iter
     (fun nd ->
-      Hashtbl.replace index nd.Graph.id !next;
-      incr next)
+      let v = nd.Graph.id and s = size_of nd.Graph.id in
+      ids.(!i) <- v;
+      incr i;
+      size.(v) <- s;
+      total := !total + s;
+      if Op.is_weight nd.op then begin
+        is_weight.(v) <- true;
+        weight_bytes := !weight_bytes + s
+      end;
+      is_input.(v) <- Op.is_input nd.op;
+      operands.(v) <- nd.inputs;
+      n_slots := !n_slots + Array.length nd.inputs)
     g;
-  let size = Array.make n 0 in
-  let d_is_weight = Array.make n false in
-  let is_input = Array.make n false in
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
-  Graph.iter
-    (fun nd ->
-      let i = Hashtbl.find index nd.Graph.id in
-      size.(i) <- size_of nd.Graph.id;
-      d_is_weight.(i) <- Op.is_weight nd.Graph.op;
-      is_input.(i) <- Op.is_input nd.Graph.op;
+  let weight_bytes = !weight_bytes in
+  (* distinct operands as CSR over ids ([pred_off.(v) .. pred_off.(v+1)]),
+     successor counts, worksets, and the top-[k] worksets kept in a
+     k-slot array ordered by (workset desc, id asc) *)
+  let k = match sample with Some k -> max 0 (min k n) | None -> n in
+  let sampled = k < n in
+  let slots = if sampled then k else 0 in
+  let top = Array.make slots 0 and top_ws = Array.make slots 0 in
+  let filled = ref 0 in
+  let pred = Array.make !n_slots 0 and pred_off = Array.make (nb + 1) 0 in
+  let succ_off = Array.make (nb + 1) 0 in
+  let last = Array.make nb (-1) in
+  let np = ref 0 and lb_workset = ref 0 in
+  Array.iter
+    (fun v ->
+      pred_off.(v) <- !np;
+      let ws = ref (weight_bytes + size.(v)) in
       Array.iter
         (fun p ->
-          let pi = Hashtbl.find index p in
-          if not (List.mem pi preds.(i)) then begin
-            preds.(i) <- pi :: preds.(i);
-            succs.(pi) <- i :: succs.(pi)
+          if last.(p) <> v then begin
+            last.(p) <- v;
+            pred.(!np) <- p;
+            incr np;
+            succ_off.(p + 1) <- succ_off.(p + 1) + 1;
+            if not is_weight.(p) then ws := !ws + size.(p)
           end)
-        nd.Graph.inputs)
-    g;
-  let d_weight_bytes = ref 0 and d_pinned_bytes = ref 0 and total = ref 0 in
-  for i = 0 to n - 1 do
-    total := !total + size.(i);
-    if d_is_weight.(i) then d_weight_bytes := !d_weight_bytes + size.(i);
-    if d_is_weight.(i) || (succs.(i) = [] && not is_input.(i)) then
-      d_pinned_bytes := !d_pinned_bytes + size.(i)
+        operands.(v);
+      pred_off.(v + 1) <- !np;
+      let ws = if is_weight.(v) then weight_bytes else !ws in
+      if ws > !lb_workset then lb_workset := ws;
+      if sampled && k > 0 && (!filled < k || ws > top_ws.(k - 1)) then begin
+        let j = ref (min !filled (k - 1)) in
+        while !j > 0 && top_ws.(!j - 1) < ws do
+          top.(!j) <- top.(!j - 1);
+          top_ws.(!j) <- top_ws.(!j - 1);
+          decr j
+        done;
+        top.(!j) <- v;
+        top_ws.(!j) <- ws;
+        filled := min k (!filled + 1)
+      end)
+    ids;
+  for u = 0 to nb - 1 do
+    succ_off.(u + 1) <- succ_off.(u + 1) + succ_off.(u)
   done;
-  {
-    n;
-    size;
-    d_is_weight;
-    preds;
-    succs;
-    d_weight_bytes = !d_weight_bytes;
-    d_pinned_bytes = !d_pinned_bytes;
-    total_bytes = !total;
-  }
-
-let dense_workset (d : dense) i =
-  if d.d_is_weight.(i) then d.d_weight_bytes
-  else
-    List.fold_left
-      (fun acc p -> if d.d_is_weight.(p) then acc else acc + d.size.(p))
-      (d.d_weight_bytes + d.size.(i))
-      d.preds.(i)
-
-(** The cut at candidate [v], from two stamped graph walks: descendants
-    of [v] (forward over [succs]) and ancestors (backward over [preds]).
-    Same value as {!Liveness.always_live_bytes}, without the bitsets. *)
-let dense_cut (d : dense) ~des_stamp ~anc_stamp ~stamp v =
-  let rec walk adj stamps acc = function
-    | [] -> acc
-    | u :: rest ->
-        let acc, rest =
-          List.fold_left
-            (fun (acc, rest) w ->
-              if stamps.(w) = stamp then (acc, rest)
-              else begin
-                stamps.(w) <- stamp;
-                (w :: acc, w :: rest)
-              end)
-            (acc, rest) adj.(u)
-        in
-        walk adj stamps acc rest
+  let succ = Array.make !np 0 and cursor = Array.sub succ_off 0 nb in
+  let pinned = ref 0 in
+  Array.iter
+    (fun v ->
+      for e = pred_off.(v) to pred_off.(v + 1) - 1 do
+        let p = pred.(e) in
+        succ.(cursor.(p)) <- v;
+        cursor.(p) <- cursor.(p) + 1
+      done;
+      if is_weight.(v) || (succ_off.(v) = succ_off.(v + 1) && not is_input.(v))
+      then pinned := !pinned + size.(v))
+    ids;
+  let des = Array.make nb (-1) and anc = Array.make nb (-1) in
+  let stack = Array.make (max n 1) 0 in
+  let held stamp w =
+    let e = ref succ_off.(w) and stop = succ_off.(w + 1) in
+    while !e < stop && des.(succ.(!e)) <> stamp do incr e done;
+    !e < stop
   in
-  des_stamp.(v) <- stamp;
-  ignore (walk d.succs des_stamp [] [ v ]);
-  let ancs = walk d.preds anc_stamp [] [ v ] in
-  let base =
-    d.d_weight_bytes + (if d.d_is_weight.(v) then 0 else d.size.(v))
-  in
-  List.fold_left
-    (fun acc w ->
-      if
-        (not d.d_is_weight.(w))
-        && List.exists (fun c -> des_stamp.(c) = stamp) d.succs.(w)
-      then acc + d.size.(w)
-      else acc)
-    base ancs
-
-let dense_lower ?sample (d : dense) : int =
-  if d.n = 0 then 0
-  else begin
-    let worksets = Array.init d.n (fun i -> dense_workset d i) in
-    let lb_workset = Array.fold_left max 0 worksets in
-    (* candidates by decreasing working set, ties by dense index *)
-    let by_workset = Array.init d.n (fun i -> i) in
-    Array.sort
-      (fun a b -> compare (worksets.(b), a) (worksets.(a), b))
-      by_workset;
-    let k = match sample with None -> d.n | Some k -> min k d.n in
-    let des_stamp = Array.make d.n (-1) and anc_stamp = Array.make d.n (-1) in
-    let lb_cut = ref 0 in
-    for c = 0 to k - 1 do
-      let cut =
-        dense_cut d ~des_stamp ~anc_stamp ~stamp:c by_workset.(c)
-      in
-      if cut > !lb_cut then lb_cut := cut
+  let cut stamp v =
+    des.(v) <- stamp;
+    stack.(0) <- v;
+    let sp = ref 1 in
+    while !sp > 0 do
+      decr sp;
+      let u = stack.(!sp) in
+      for e = succ_off.(u) to succ_off.(u + 1) - 1 do
+        let w = succ.(e) in
+        if des.(w) <> stamp then begin
+          des.(w) <- stamp;
+          stack.(!sp) <- w;
+          incr sp
+        end
+      done
     done;
-    max (max lb_workset !lb_cut) d.d_pinned_bytes
-  end
+    let acc = ref (weight_bytes + if is_weight.(v) then 0 else size.(v)) in
+    stack.(0) <- v;
+    sp := 1;
+    while !sp > 0 do
+      decr sp;
+      let u = stack.(!sp) in
+      for e = pred_off.(u) to pred_off.(u + 1) - 1 do
+        let w = pred.(e) in
+        if anc.(w) <> stamp then begin
+          anc.(w) <- stamp;
+          stack.(!sp) <- w;
+          incr sp;
+          if (not is_weight.(w)) && held stamp w then acc := !acc + size.(w)
+        end
+      done
+    done;
+    !acc
+  in
+  (* the unsampled bound is a max over every node, in any order *)
+  let cands = if sampled then top else ids in
+  let lb_cut = ref 0 in
+  Array.iteri (fun c v -> lb_cut := max !lb_cut (cut c v)) cands;
+  (max (max !lb_workset !lb_cut) !pinned, !total)
 
 let lower_bound ?size_of ?sample (g : Graph.t) : int =
-  dense_lower ?sample (densify ?size_of g)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental probe                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** Incremental form of the probe, for the search hot path: per-node
-    worksets and the sampled cut values are kept keyed by node id, and a
-    {!probe_update} against a {!Liveness.delta_update} recomputes only
-    the entries the rewrite could have changed.  Ties in the sample
-    selection break by node id (not dense index, which a delta reshuffles),
-    so [probe_update] is {e exactly} [probe_create] on the new liveness —
-    the equality the property tests assert. *)
-type probe = {
-  pr_lv : Liveness.t;
-  pr_sample : int;
-  pr_worksets : (int, int) Hashtbl.t;  (** node id -> workset bytes *)
-  pr_cuts : (int * int) list;  (** sampled candidates: (id, cut bytes) *)
-  pr_lower : int;
-  pr_reused : int;  (** cut evaluations inherited from the parent *)
-  pr_recomputed : int;  (** cut evaluations actually run *)
-}
-
-(** Workset from the liveness tables alone (no [Graph.op] calls), so an
-    update can run against a child liveness whose size function differs
-    from the graph's default. *)
-let lv_workset (lv : Liveness.t) g v =
-  if Liveness.is_weight lv v then Liveness.weight_bytes lv
-  else
-    List.fold_left
-      (fun acc p ->
-        if Liveness.is_weight lv p then acc else acc + Liveness.size lv p)
-      (Liveness.weight_bytes lv + Liveness.size lv v)
-      (Graph.pre g v)
-
-(** Top-[sample] node ids by (workset desc, id asc) — the shared,
-    slot-assignment-independent selection rule of the probe. *)
-let probe_select (worksets : (int, int) Hashtbl.t) k =
-  Hashtbl.fold (fun v w acc -> (w, v) :: acc) worksets []
-  |> List.sort (fun (wa, va) (wb, vb) -> compare (wb, va) (wa, vb))
-  |> List.map snd |> Util.take k
-
-let probe_finish ~lv ~sample ~worksets ~cuts ~reused ~recomputed =
-  let lb_workset = Hashtbl.fold (fun _ w acc -> max acc w) worksets 0 in
-  let lb_cut = List.fold_left (fun acc (_, c) -> max acc c) 0 cuts in
-  {
-    pr_lv = lv;
-    pr_sample = sample;
-    pr_worksets = worksets;
-    pr_cuts = cuts;
-    pr_lower = max (max lb_workset lb_cut) (Liveness.pinned_bytes lv);
-    pr_reused = reused;
-    pr_recomputed = recomputed;
-  }
-
-let probe_create ?(sample = 8) (lv : Liveness.t) : probe =
-  let g = Liveness.graph lv in
-  let worksets = Hashtbl.create (Liveness.length lv) in
-  Liveness.fold
-    (fun v () -> Hashtbl.replace worksets v (lv_workset lv g v))
-    lv ();
-  let cuts =
-    List.map
-      (fun v -> (v, Liveness.always_live_bytes lv v))
-      (probe_select worksets sample)
-  in
-  probe_finish ~lv ~sample ~worksets ~cuts ~reused:0
-    ~recomputed:(List.length cuts)
-
-let probe_update (p : probe) (lv' : Liveness.t)
-    ~(delta : Liveness.delta) : probe =
-  let old = p.pr_lv in
-  if Liveness.weight_bytes lv' <> Liveness.weight_bytes old then
-    (* the pinned-weight total feeds every workset and cut: rebuild *)
-    probe_create ~sample:p.pr_sample lv'
-  else begin
-    let g' = Liveness.graph lv' in
-    (* survivors whose byte size or weight classification moved (the
-       child's size function — F-Tree accounting — differs per state) *)
-    let changed =
-      Liveness.fold
-        (fun v acc ->
-          if
-            Liveness.mem old v
-            && (Liveness.size old v <> Liveness.size lv' v
-               || Liveness.is_weight old v <> Liveness.is_weight lv' v)
-          then Util.Int_set.add v acc
-          else acc)
-        lv' Util.Int_set.empty
-    in
-    (* worksets to recompute: structurally dirty nodes, nodes that are
-       new, size-changed nodes and their consumers (operand sums) *)
-    let needs_ws v =
-      Util.Int_set.mem v delta.d_dirty
-      || Util.Int_set.mem v changed
-      || (not (Liveness.mem old v))
-      || List.exists (fun u -> Util.Int_set.mem u changed) (Graph.pre g' v)
-    in
-    let worksets = Hashtbl.create (Liveness.length lv') in
-    Liveness.fold
-      (fun v () ->
-        let w =
-          if needs_ws v then lv_workset lv' g' v
-          else Hashtbl.find p.pr_worksets v
-        in
-        Hashtbl.replace worksets v w)
-      lv' ();
-    (* a cut is stale when the candidate's own reachability rows moved,
-       or when a node whose size or adjacency changed sits at or above
-       it (its held-ancestor sum reads those) *)
-    let suspects =
-      Util.Int_set.elements
-        (Util.Int_set.union changed delta.d_adj_changed)
-    in
-    let cut_stale c =
-      Util.Int_set.mem c delta.d_dirty
-      || List.exists
-           (fun w -> w = c || Liveness.must_precede lv' w c)
-           suspects
-    in
-    let reused = ref 0 and recomputed = ref 0 in
-    let cuts =
-      List.map
-        (fun c ->
-          match List.assoc_opt c p.pr_cuts with
-          | Some cut when not (cut_stale c) ->
-              incr reused;
-              (c, cut)
-          | _ ->
-              incr recomputed;
-              (c, Liveness.always_live_bytes lv' c))
-        (probe_select worksets p.pr_sample)
-    in
-    probe_finish ~lv:lv' ~sample:p.pr_sample ~worksets ~cuts ~reused:!reused
-      ~recomputed:!recomputed
-  end
-
-let probe_lower (p : probe) : int = p.pr_lower
-let probe_counters (p : probe) : int * int = (p.pr_reused, p.pr_recomputed)
+  fst (probe ?size_of ?sample g)
 
 let quick_check ?size_of ?sample (g : Graph.t) ~peak : Diagnostic.t list =
-  let d = densify ?size_of g in
-  let lower = dense_lower ?sample d in
+  let lower, total = probe ?size_of ?sample g in
   let err ~check fmt = Diagnostic.errorf ~pass ~check fmt in
   List.concat
     [
@@ -418,11 +290,11 @@ let quick_check ?size_of ?sample (g : Graph.t) ~peak : Diagnostic.t list =
              lower peak;
          ]
        else []);
-      (if peak > d.total_bytes then
+      (if peak > total then
          [
            err ~check:"peak-exceeds-total"
              "simulated peak %d exceeds the total-bytes upper bound %d" peak
-             d.total_bytes;
+             total;
          ]
        else []);
     ]

@@ -92,11 +92,11 @@ type stats = {
   mutable t_bound : float;
   mutable n_pruned_lb : int;
   mutable n_lv_delta : int;
-      (** bound probes answered by the O(Δ) liveness delta-update path
-          instead of a scratch analysis *)
+      (** retired; read by the benchmark's determinism signature *)
   mutable n_cut_reused : int;
-      (** probe cut evaluations inherited from the parent state *)
-  mutable n_cut_recomputed : int;  (** probe cut evaluations actually run *)
+      (** retired; read by the benchmark's determinism signature *)
+  mutable n_cut_recomputed : int;
+      (** retired; read by the benchmark's determinism signature *)
   mutable n_sched_fallback : int;
       (** incremental reschedules that fell back to a full reschedule
           (window splice produced an illegal order) *)
@@ -105,11 +105,6 @@ type stats = {
   mutable n_sched_nodes : int;
       (** total nodes across the produced schedules (denominator of the
           rescheduled-node fraction) *)
-  mutable n_cheap_sched : int;
-      (** candidates evaluated by the cheap list-scheduling tier *)
-  mutable n_promoted : int;
-      (** cheap-tier candidates that passed δ-admission and were
-          re-evaluated by the exact tier *)
   mutable domain_time : float array;
       (** cumulative busy seconds per expansion worker *)
   mutable n_retried : int;
@@ -143,8 +138,6 @@ let fresh_stats () =
     n_sched_fallback = 0;
     n_resched_nodes = 0;
     n_sched_nodes = 0;
-    n_cheap_sched = 0;
-    n_promoted = 0;
     domain_time = [||];
     n_retried = 0;
     n_quarantined = 0;
@@ -172,14 +165,9 @@ let merge_stats (dst : stats) (src : stats) =
   dst.n_bound_calls <- dst.n_bound_calls + src.n_bound_calls;
   dst.t_bound <- dst.t_bound +. src.t_bound;
   dst.n_pruned_lb <- dst.n_pruned_lb + src.n_pruned_lb;
-  dst.n_lv_delta <- dst.n_lv_delta + src.n_lv_delta;
-  dst.n_cut_reused <- dst.n_cut_reused + src.n_cut_reused;
-  dst.n_cut_recomputed <- dst.n_cut_recomputed + src.n_cut_recomputed;
   dst.n_sched_fallback <- dst.n_sched_fallback + src.n_sched_fallback;
   dst.n_resched_nodes <- dst.n_resched_nodes + src.n_resched_nodes;
-  dst.n_sched_nodes <- dst.n_sched_nodes + src.n_sched_nodes;
-  dst.n_cheap_sched <- dst.n_cheap_sched + src.n_cheap_sched;
-  dst.n_promoted <- dst.n_promoted + src.n_promoted
+  dst.n_sched_nodes <- dst.n_sched_nodes + src.n_sched_nodes
 
 type result = {
   best : Mstate.t;
@@ -210,11 +198,6 @@ let resched_frac (st : stats) =
   if st.n_sched_nodes = 0 then 0.0
   else float_of_int st.n_resched_nodes /. float_of_int st.n_sched_nodes
 
-(** Fraction of probe cut evaluations inherited from the parent. *)
-let cut_reuse_rate (st : stats) =
-  let total = st.n_cut_reused + st.n_cut_recomputed in
-  if total = 0 then 0.0 else float_of_int st.n_cut_reused /. float_of_int total
-
 let stats_json (st : stats) : Json.t =
   Json.Obj
     [
@@ -234,16 +217,10 @@ let stats_json (st : stats) : Json.t =
       ("n_bound_calls", Json.Int st.n_bound_calls);
       ("t_bound", Json.Float st.t_bound);
       ("n_pruned_lb", Json.Int st.n_pruned_lb);
-      ("n_lv_delta", Json.Int st.n_lv_delta);
-      ("n_cut_reused", Json.Int st.n_cut_reused);
-      ("n_cut_recomputed", Json.Int st.n_cut_recomputed);
-      ("cut_reuse_rate", Json.Float (cut_reuse_rate st));
       ("n_sched_fallback", Json.Int st.n_sched_fallback);
       ("n_resched_nodes", Json.Int st.n_resched_nodes);
       ("n_sched_nodes", Json.Int st.n_sched_nodes);
       ("resched_frac", Json.Float (resched_frac st));
-      ("n_cheap_sched", Json.Int st.n_cheap_sched);
-      ("n_promoted", Json.Int st.n_promoted);
       ("n_retried", Json.Int st.n_retried);
       ("n_quarantined", Json.Int st.n_quarantined);
       ("n_checkpoints", Json.Int st.n_checkpoints);
@@ -280,21 +257,12 @@ let pp_stats ppf (st : stats) =
   Format.fprintf ppf "Simulation cache: %d hits, %d misses (%.0f%% hit rate)@\n"
     st.n_sim_hit st.n_sim_miss
     (100.0 *. sim_hit_rate st);
-  if st.n_lv_delta > 0 then
-    Format.fprintf ppf
-      "Incremental bounds: %d delta updates; cuts %d reused / %d recomputed \
-       (%.0f%% reuse)@\n"
-      st.n_lv_delta st.n_cut_reused st.n_cut_recomputed
-      (100.0 *. cut_reuse_rate st);
   if st.n_sched_nodes > 0 then
     Format.fprintf ppf
       "Incremental scheduling: %.1f%% of nodes re-placed; %d fallback(s) to \
        full reschedule@\n"
       (100.0 *. resched_frac st)
       st.n_sched_fallback;
-  if st.n_cheap_sched > 0 then
-    Format.fprintf ppf "Cheap tier: %d list-scheduled, %d promoted to exact@\n"
-      st.n_cheap_sched st.n_promoted;
   if Array.length st.domain_time > 0 then
     Format.fprintf ppf "Expansion workers: %d; per-domain busy seconds: [%s]@\n"
       (Array.length st.domain_time)
@@ -383,25 +351,6 @@ type config = {
           before rescheduling and simulation.  Trajectory-preserving:
           the returned best state is bit-identical with pruning on or
           off. *)
-  incremental : bool;
-      (** answer memory-bound probes by {!Magis_analysis.Liveness}
-          delta-update + {!Magis_analysis.Membound} probe-update against
-          the popped parent (default on) instead of a per-candidate
-          scratch analysis.  The probe bound is identical to the scratch
-          probe bound (asserted under [verify_states]), so this too is
-          trajectory-preserving — only the per-candidate cost drops from
-          O(n) to O(Δ). *)
-  cheap_tier : bool;
-      (** two-tier evaluation (default off): score every candidate with
-          the O((V+E) log V) critical-path list scheduler
-          ({!Magis_sched.Listsched}) first, and promote only candidates
-          that pass δ-admission against the incumbent to the exact tier
-          (incremental reschedule + cached simulation).  Exact numbers
-          drive the best state and the queue; cheap ones only gate
-          promotion, so every reported state is exactly evaluated —
-          but the trajectory may differ from the one-tier search (a
-          cheap schedule can overshoot δ on a candidate the exact tier
-          would have admitted). *)
   supervise : bool;
       (** per-candidate exception isolation (default on): a failing
           candidate is retried, then quarantined with a diagnostic,
@@ -447,8 +396,6 @@ let default_config =
     jobs = 1;
     sim_cache = None;
     prune_bounds = true;
-    incremental = true;
-    cheap_tier = false;
     supervise = true;
     max_retries = 3;
     checkpoint = None;
@@ -577,10 +524,13 @@ type bound_check =
   | Prune_mem of { threshold : float; mem_limit : int }
   | Prune_lat of { threshold : float; lat_limit : float }
 
+(** [No_prune] also when the threshold is not finite: no finite bound
+    can exceed it (every frontier build runs [Min_memory] with an
+    infinite latency limit), so the probe would only cost time. *)
 let bound_check_of ~prune (mode : mode) (best : Mstate.t) : bound_check =
-  if not prune then No_prune
+  let threshold = queue_delta *. fst (key mode best) in
+  if not (prune && Float.is_finite threshold) then No_prune
   else
-    let threshold = queue_delta *. fst (key mode best) in
     match mode with
     | Min_latency { mem_limit } -> Prune_mem { threshold; mem_limit }
     | Min_memory { lat_limit } -> Prune_lat { threshold; lat_limit }
@@ -594,88 +544,10 @@ let proposal_latency_lb (acc : Ftree.accounting) (g : Graph.t) : float =
   +. acc.extra_latency)
   *. lat_lb_margin
 
-(** The popped state's liveness analysis and memory-bound probe, built
-    once per iteration on the orchestrating domain so every candidate's
-    probe is an O(Δ) update against it rather than an O(n) scratch
-    analysis.  Immutable after construction (delta updates share rows by
-    reference but never write them), so workers read it concurrently
-    without synchronization. *)
-type incr_parent = {
-  ip_lv : Magis_analysis.Liveness.t;
-  ip_probe : Magis_analysis.Membound.probe;
-}
-
-(** Memory lower bound of a proposal: the O(Δ) incremental path when a
-    parent probe is available, the scratch sampled probe otherwise.
-    Under [verify_states] the incremental result is checked against the
-    scratch-recompute oracle ({!Magis_analysis.Liveness.equivalent} plus
-    probe-bound equality), raising {!Verification_failure} on any
-    divergence.  The oracle costs the very O(n) analysis the delta path
-    avoids, so it runs on a deterministic 1-in-8 sample of candidates,
-    keyed by [state_hash] — independent of [jobs] and stable across
-    runs; the property tests cover every candidate exhaustively. *)
-let oracle_this_candidate state_hash = Int64.logand state_hash 7L = 0L
-
-(** Dirty-cone cap for the delta path, as a fraction of the graph: a
-    rewrite whose reachability cone covers more than a third of the
-    nodes would rebuild most bitset rows — slower than the dense
-    scratch probe — so such candidates fall back to it.  Both bounds
-    are admissible, so the choice only affects counters, never the
-    search trajectory.  Deterministic in the graph alone: independent
-    of [jobs] and stable across runs. *)
-let delta_max_dirty n = n / 3
-
-let proposal_mem_lb (cfg : config) stats ~(incr_parent : incr_parent option)
-    ~state_hash (acc : Ftree.accounting) (p : proposal) : int =
-  let incr_result =
-    match incr_parent with
-    | None -> None
-    | Some ip ->
-        Magis_analysis.Liveness.delta_update ~size_of:acc.size_of
-          ~max_dirty:(delta_max_dirty (Magis_analysis.Liveness.length ip.ip_lv))
-          ip.ip_lv p.p_graph ~mutated:p.p_mutated
-        |> Option.map (fun (lv', delta) -> (ip, lv', delta))
-  in
-  match incr_result with
-  | Some (ip, lv', delta) ->
-      stats.n_lv_delta <- stats.n_lv_delta + 1;
-      let probe' =
-        Magis_analysis.Membound.probe_update ip.ip_probe lv' ~delta
-      in
-      let reused, recomputed =
-        Magis_analysis.Membound.probe_counters probe'
-      in
-      stats.n_cut_reused <- stats.n_cut_reused + reused;
-      stats.n_cut_recomputed <- stats.n_cut_recomputed + recomputed;
-      let lb = Magis_analysis.Membound.probe_lower probe' in
-      if cfg.verify_states && oracle_this_candidate state_hash then begin
-        let scratch =
-          Magis_analysis.Liveness.compute ~size_of:acc.size_of p.p_graph
-        in
-        if not (Magis_analysis.Liveness.equivalent lv' scratch) then
-          raise
-            (Verification_failure
-               "Liveness.delta_update diverged from the scratch analysis");
-        let scratch_lb =
-          Magis_analysis.Membound.probe_lower
-            (Magis_analysis.Membound.probe_create ~sample:bound_sample scratch)
-        in
-        if lb <> scratch_lb then
-          raise
-            (Verification_failure
-               (Printf.sprintf
-                  "Membound.probe_update bound %d <> scratch probe bound %d"
-                  lb scratch_lb))
-      end;
-      lb
-  | None ->
-      Magis_analysis.Membound.lower_bound ~size_of:acc.size_of
-        ~sample:bound_sample p.p_graph
-
 (** Does the admissible lower bound already prove this proposal fails
-    the δ-relaxed admission test?  Shared by the exact and cheap tiers. *)
-let bound_prunes (cfg : config) stats ~bound_check ~incr_parent ~state_hash
-    (acc : Ftree.accounting) (p : proposal) : bool =
+    the δ-relaxed admission test? *)
+let bound_prunes stats ~bound_check (acc : Ftree.accounting) (p : proposal) :
+    bool =
   match bound_check with
   | No_prune -> false
   | Prune_mem { threshold; mem_limit } ->
@@ -683,7 +555,10 @@ let bound_prunes (cfg : config) stats ~bound_check ~incr_parent ~state_hash
         (fun dt -> stats.t_bound <- stats.t_bound +. dt)
         (fun () -> stats.n_bound_calls <- stats.n_bound_calls + 1)
         (fun () ->
-          let lb = proposal_mem_lb cfg stats ~incr_parent ~state_hash acc p in
+          let lb =
+            Magis_analysis.Membound.lower_bound ~size_of:acc.size_of
+              ~sample:bound_sample p.p_graph
+          in
           float_of_int (max lb mem_limit) > threshold)
   | Prune_lat { threshold; lat_limit } ->
       timed stats
@@ -709,7 +584,7 @@ let bound_prunes (cfg : config) stats ~bound_check ~incr_parent ~state_hash
     write [stats] (a worker-local accumulator) and the domain-safe
     caches. *)
 let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
-    ~incr_parent ~sched_states ~iteration ~state_hash ~parent_sched_hash
+    ~sched_states ~iteration ~state_hash ~parent_sched_hash
     (parent : Magis_sched.Incremental.parent) (p : proposal) : Mstate.t option
     =
   let key =
@@ -722,9 +597,13 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
       stats.n_sim_hit <- stats.n_sim_hit + 1;
       Some (Mstate.of_cached ~ftree_stale:p.p_stale p.p_graph p.p_ftree v)
   | None ->
-      let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
-      if bound_prunes cfg stats ~bound_check ~incr_parent ~state_hash acc p
-      then begin
+      let acc =
+        timed stats
+          (fun dt -> stats.t_transform <- stats.t_transform +. dt)
+          (fun () -> ())
+          (fun () -> Ftree.accounting ec.ec_cache p.p_graph p.p_ftree)
+      in
+      if bound_prunes stats ~bound_check acc p then begin
         stats.n_pruned_lb <- stats.n_pruned_lb + 1;
         None
       end
@@ -776,51 +655,13 @@ let evaluate_proposal (cfg : config) (ec : eval_ctx) stats ~bound_check
         Some s'
       end
 
-(** Cheap-tier evaluation: bound-prune, then a whole-graph critical-path
-    list schedule ({!Magis_sched.Listsched}) and one simulation — no DP,
-    no window computation, no cache entry (cheap numbers must never
-    masquerade as exact ones under the exact tier's key).  The schedule
-    is a legal topological order, so the simulated peak and latency are
-    real, merely unoptimized; the merge promotes candidates whose cheap
-    numbers pass δ-admission to {!evaluate_proposal}. *)
-let cheap_evaluate (cfg : config) (ec : eval_ctx) stats ~bound_check
-    ~incr_parent ~state_hash (p : proposal) : Mstate.t option =
-  let acc = Ftree.accounting ec.ec_cache p.p_graph p.p_ftree in
-  if bound_prunes cfg stats ~bound_check ~incr_parent ~state_hash acc p
-  then begin
-    stats.n_pruned_lb <- stats.n_pruned_lb + 1;
-    None
-  end
-  else begin
-    let schedule =
-      timed stats
-        (fun dt -> stats.t_sched <- stats.t_sched +. dt)
-        (fun () -> stats.n_cheap_sched <- stats.n_cheap_sched + 1)
-        (fun () ->
-          Magis_sched.Listsched.schedule ~size_of:acc.size_of
-            ~cost_of:acc.cost_of p.p_graph)
-    in
-    let s' =
-      timed stats
-        (fun dt -> stats.t_simul <- stats.t_simul +. dt)
-        (fun () -> stats.n_simul <- stats.n_simul + 1)
-        (fun () ->
-          Mstate.evaluate ~ftree_stale:p.p_stale ~acc ec.ec_cache p.p_graph
-            p.p_ftree schedule)
-    in
-    Some s'
-  end
-
-(** Outcome of phase 3 for one surviving candidate. *)
-type tier = Exact of Mstate.t | Cheap of Mstate.t
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint format                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (** Bump whenever {!snapshot} (or anything it reaches: {!Mstate.t},
     {!stats}, …) changes shape. *)
-let ckpt_version = 3
+let ckpt_version = 4
 
 (** The complete loop state: restoring it continues the search
     bit-identically — frontier, dedup set, diversification RNG, pop
@@ -855,8 +696,6 @@ let trajectory_fingerprint (cfg : config) (mode : mode) ~(hw : int64)
     lor bit cfg.use_sweep_rules 3
     lor bit cfg.prune_bounds 4
     lor bit cfg.degrade 5
-    lor bit cfg.incremental 6
-    lor bit cfg.cheap_tier 7
   in
   let h = Util.hash_combine (Wl_hash.hash graph) hw in
   let h = Util.hash_combine h (mode_fingerprint mode) in
@@ -1250,29 +1089,6 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
            let bound_check =
              bound_check_of ~prune:(eff_prune ()) mode !best
            in
-           (* One liveness analysis + probe of the popped parent serves
-              every candidate of the iteration as the base of its O(Δ)
-              bound update.  Built only when a memory bound will actually
-              be probed, and amortized across the survivors. *)
-           let incr_parent =
-             match bound_check with
-             | Prune_mem _ when config.incremental
-                                && Array.length survivors > 0 ->
-                 let t0 = Unix.gettimeofday () in
-                 let acc = Ftree.accounting cache s.graph s.ftree in
-                 let lv =
-                   Magis_analysis.Liveness.compute ~size_of:acc.size_of
-                     s.graph
-                 in
-                 let probe =
-                   Magis_analysis.Membound.probe_create ~sample:bound_sample
-                     lv
-                 in
-                 stats.t_bound <-
-                   stats.t_bound +. (Unix.gettimeofday () -. t0);
-                 Some { ip_lv = lv; ip_probe = probe }
-             | _ -> None
-           in
            let evaluated =
              Trace.with_span ~cat:"search" "phase-evaluate" @@ fun () ->
              supervised_map ~phase:"evaluate"
@@ -1280,28 +1096,16 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
                  Trace.with_span ~cat:"search" "candidate" @@ fun () ->
                  let local = fresh_stats () in
                  let r =
-                   if config.cheap_tier then
-                     Option.map
-                       (fun st -> Cheap st)
-                       (cheap_evaluate config ec local ~bound_check
-                          ~incr_parent ~state_hash:h p)
-                   else
-                     Option.map
-                       (fun st -> Exact st)
-                       (evaluate_proposal config ec local ~bound_check
-                          ~incr_parent ~sched_states ~iteration ~state_hash:h
-                          ~parent_sched_hash (Option.get parent) p)
+                   evaluate_proposal config ec local ~bound_check
+                     ~sched_states ~iteration ~state_hash:h
+                     ~parent_sched_hash (Option.get parent) p
                  in
                  (r, local))
                survivors
            in
            (* Phase 4 (serial, candidate order): fold worker stats and
               merge into best/queue — bit-identical to the serial loop.
-              Quarantined candidates contribute nothing.  Under the
-              cheap tier, candidates whose list-scheduled numbers pass
-              δ-admission are promoted here (serially, in candidate
-              order) to the exact tier; only exact numbers ever reach
-              the best state or the queue. *)
+              Quarantined candidates contribute nothing. *)
            (Trace.with_span ~cat:"search" "phase-merge" @@ fun () ->
             let admit (s' : Mstate.t) =
               (* observation-only side channel: sees every exactly
@@ -1330,29 +1134,12 @@ let run ?(config = default_config) (cache : Op_cost.t) (mode : mode)
               end;
               if better_than mode ~delta:queue_delta s' !best then push s'
             in
-            Array.iteri
-              (fun index r ->
-                match r with
+            Array.iter
+              (function
                 | None -> ()
-                | Some ((r : tier option), local) -> (
+                | Some (r, local) ->
                     merge_stats stats local;
-                    match r with
-                    | None -> ()
-                    | Some (Exact s') -> admit s'
-                    | Some (Cheap sc) ->
-                        if better_than mode ~delta:queue_delta sc !best
-                        then begin
-                          stats.n_promoted <- stats.n_promoted + 1;
-                          let p, h = survivors.(index) in
-                          match
-                            evaluate_proposal config ec stats ~bound_check
-                              ~incr_parent ~sched_states ~iteration
-                              ~state_hash:h ~parent_sched_hash
-                              (Option.get parent) p
-                          with
-                          | None -> ()
-                          | Some s' -> admit s'
-                        end))
+                    Option.iter admit r)
               evaluated);
            (* Per-iteration telemetry, after the merge so the record
               sees the iteration's final best and queue. *)

@@ -49,13 +49,11 @@ type stats = {
           admissible lower bound already failed the δ-relaxed admission
           test (counted in neither [n_sim_hit] nor [n_sim_miss]) *)
   mutable n_lv_delta : int;
-      (** bound probes answered by the O(Δ) liveness delta-update path
-          ({!Magis_analysis.Liveness.delta_update}) instead of a
-          per-candidate scratch analysis *)
+      (** retired (always 0); read by the benchmark's determinism signature *)
   mutable n_cut_reused : int;
-      (** probe cut evaluations inherited from the popped parent *)
+      (** retired (always 0); read by the benchmark's determinism signature *)
   mutable n_cut_recomputed : int;
-      (** probe cut evaluations actually run by incremental probes *)
+      (** retired (always 0); read by the benchmark's determinism signature *)
   mutable n_sched_fallback : int;
       (** incremental reschedules whose window splice produced an
           illegal order and fell back to a full reschedule *)
@@ -64,10 +62,6 @@ type stats = {
   mutable n_sched_nodes : int;
       (** total nodes across produced schedules (denominator of the
           rescheduled-node fraction) *)
-  mutable n_cheap_sched : int;
-      (** candidates evaluated by the cheap list-scheduling tier *)
-  mutable n_promoted : int;
-      (** cheap-tier candidates promoted to the exact tier at the merge *)
   mutable domain_time : float array;
       (** cumulative busy seconds per expansion worker ([jobs] cells;
           one cell for a serial run) *)
@@ -148,33 +142,12 @@ type config = {
           (peak memory in [Min_latency] mode, serialized compute time in
           [Min_memory] mode) and drop it before reschedule/simulate when
           the bound proves it would fail the δ-relaxed queue admission
-          against the incumbent.  Because the bound is admissible and
+          against the incumbent (no probe runs while that threshold is
+          infinite, as in a [Min_memory] search without a latency
+          limit).  Because the bound is admissible and
           the threshold uses the same δ as the push test,
           pruning never changes the returned best state — only
           [n_pruned_lb]/[n_bound_calls] and the time spent. *)
-  incremental : bool;
-      (** incremental candidate evaluation (default [true]): memory
-          bound probes run as O(Δ) updates against the popped parent's
-          liveness analysis and probe
-          ({!Magis_analysis.Liveness.delta_update} +
-          {!Magis_analysis.Membound.probe_update}) instead of an O(n)
-          scratch analysis per candidate.  The incremental bound equals
-          the scratch bound exactly (checked against the
-          scratch-recompute oracle under [verify_states]), so the
-          returned best state is bit-identical with the flag on or
-          off — only [n_lv_delta]/[n_cut_reused] and the time spent
-          differ. *)
-  cheap_tier : bool;
-      (** two-tier candidate evaluation (default [false]): every
-          survivor is first scored by the O((V+E) log V) critical-path
-          list scheduler ({!Magis_sched.Listsched}); only candidates
-          whose cheap numbers pass δ-admission against the incumbent
-          are promoted to the exact tier (incremental reschedule +
-          cached simulation).  Exact numbers alone drive the best state
-          and the queue, so every reported state is exactly evaluated,
-          but the trajectory may differ from the one-tier search: a
-          cheap schedule can overshoot δ on a candidate the exact tier
-          would have admitted. *)
   supervise : bool;
       (** per-candidate exception isolation (default [true]): a failing
           candidate is re-executed up to [max_retries] times with
@@ -250,10 +223,6 @@ val sim_hit_rate : stats -> float
 (** Fraction of scheduled nodes the incremental rescheduler actually
     re-placed (0 when nothing was scheduled). *)
 val resched_frac : stats -> float
-
-(** Fraction of probe cut evaluations inherited from the parent state
-    (0 when no incremental probes ran). *)
-val cut_reuse_rate : stats -> float
 
 (** Stats as a flat JSON object (plus [domain_time] and
     [degrade_steps] arrays) — the payload of

@@ -1,10 +1,11 @@
 (** The straightforward implementations the IR hot loops replaced, kept
     here as oracles: Kahn's algorithm over hash tables and a set-based
     ready queue, the per-node BFS narrow-waist value, list-walk
-    reachability for the set queries, and the derived hash fields
-    recomputed from scratch.  Each is checked against the
-    library on every zoo graph, on random NASNet-like graphs and after
-    every rewrite rule. *)
+    reachability for the set queries, the derived hash fields
+    recomputed from scratch, and the dense-index memory-bound probe
+    with its sorted candidates and list walks.  Each is checked against
+    the library on every zoo graph, on random NASNet-like graphs, after
+    every rewrite rule and (the bound) on harvested search states. *)
 
 open Magis
 open Helpers
@@ -109,6 +110,109 @@ let components_of g set =
   in
   all [] set
 
+(** The memory-bound probe over a dense index (node id -> position in
+    [Graph.iter] order): distinct-operand lists, worksets, candidates
+    sorted by (workset desc, index asc), and each cut by two stamped
+    list walks (descendants forward, then ancestors with a consumer at
+    or below the candidate). *)
+type dense = {
+  n : int;
+  size : int array;
+  d_is_weight : bool array;
+  preds : int list array;
+  succs : int list array;
+  d_weight_bytes : int;
+  d_pinned_bytes : int;
+}
+
+let densify ?size_of g =
+  let size_of =
+    match size_of with Some f -> f | None -> Lifetime.default_size g
+  in
+  let n = Graph.n_nodes g in
+  let index = Hashtbl.create n in
+  List.iteri (fun i v -> Hashtbl.replace index v i) (Graph.node_ids g);
+  let size = Array.make n 0 in
+  let d_is_weight = Array.make n false in
+  let is_input = Array.make n false in
+  let preds = Array.make n [] and succs = Array.make n [] in
+  Graph.iter
+    (fun nd ->
+      let i = Hashtbl.find index nd.id in
+      size.(i) <- size_of nd.id;
+      d_is_weight.(i) <- Op.is_weight nd.op;
+      is_input.(i) <- Op.is_input nd.op;
+      Array.iter
+        (fun p ->
+          let pi = Hashtbl.find index p in
+          if not (List.mem pi preds.(i)) then begin
+            preds.(i) <- pi :: preds.(i);
+            succs.(pi) <- i :: succs.(pi)
+          end)
+        nd.inputs)
+    g;
+  let w = ref 0 and pinned = ref 0 in
+  for i = 0 to n - 1 do
+    if d_is_weight.(i) then w := !w + size.(i);
+    if d_is_weight.(i) || (succs.(i) = [] && not is_input.(i)) then
+      pinned := !pinned + size.(i)
+  done;
+  { n; size; d_is_weight; preds; succs; d_weight_bytes = !w;
+    d_pinned_bytes = !pinned }
+
+let dense_workset d i =
+  if d.d_is_weight.(i) then d.d_weight_bytes
+  else
+    List.fold_left
+      (fun acc p -> if d.d_is_weight.(p) then acc else acc + d.size.(p))
+      (d.d_weight_bytes + d.size.(i))
+      d.preds.(i)
+
+let dense_cut d ~des_stamp ~anc_stamp ~stamp v =
+  let rec walk adj stamps acc = function
+    | [] -> acc
+    | u :: rest ->
+        let acc, rest =
+          List.fold_left
+            (fun (acc, rest) w ->
+              if stamps.(w) = stamp then (acc, rest)
+              else begin
+                stamps.(w) <- stamp;
+                (w :: acc, w :: rest)
+              end)
+            (acc, rest) adj.(u)
+        in
+        walk adj stamps acc rest
+  in
+  des_stamp.(v) <- stamp;
+  ignore (walk d.succs des_stamp [] [ v ]);
+  let ancs = walk d.preds anc_stamp [] [ v ] in
+  let base = d.d_weight_bytes + if d.d_is_weight.(v) then 0 else d.size.(v) in
+  List.fold_left
+    (fun acc w ->
+      if
+        (not d.d_is_weight.(w))
+        && List.exists (fun c -> des_stamp.(c) = stamp) d.succs.(w)
+      then acc + d.size.(w)
+      else acc)
+    base ancs
+
+let dense_lower ?sample d =
+  if d.n = 0 then 0
+  else begin
+    let worksets = Array.init d.n (dense_workset d) in
+    let by_workset = Array.init d.n (fun i -> i) in
+    Array.sort (fun a b -> compare (worksets.(b), a) (worksets.(a), b)) by_workset;
+    let k = match sample with None -> d.n | Some k -> min k d.n in
+    let des_stamp = Array.make d.n (-1) and anc_stamp = Array.make d.n (-1) in
+    let lb_cut = ref 0 in
+    for c = 0 to k - 1 do
+      lb_cut :=
+        max !lb_cut (dense_cut d ~des_stamp ~anc_stamp ~stamp:c by_workset.(c))
+    done;
+    max (max (Array.fold_left max 0 worksets) !lb_cut) d.d_pinned_bytes
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Checks                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -183,11 +287,25 @@ let check_sets ?extra what g =
         (components_of g s) (Graph.components_of g s))
     (subsets ?extra g)
 
+(* [Membound.lower_bound], sampled as in the search and unsampled *)
+let check_bound ?size_of what g =
+  let d = densify ?size_of g in
+  List.iter
+    (fun sample ->
+      let expect = dense_lower ?sample d in
+      let got = Membound.lower_bound ?size_of ?sample g in
+      if got <> expect then
+        Alcotest.failf "%s: lower_bound (sample %s) = %d, oracle %d" what
+          (match sample with Some k -> string_of_int k | None -> "all")
+          got expect)
+    [ Some 8; None ]
+
 let check_all ?extra what g =
   check_topo what g;
   check_nw what g;
   check_fields what g;
-  check_sets ?extra what g
+  check_sets ?extra what g;
+  check_bound what g
 
 (* Every rewrite every rule proposes on [g] at its greedy schedule. *)
 let rewrites c g =
@@ -209,12 +327,24 @@ let rewrites c g =
 (* Tests                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* What the zoo lacks: an operator reading one tensor twice, and an
+   input nothing consumes (neither counts twice in the bound) *)
+let odd_graph () =
+  let b = Builder.create () in
+  let x = Builder.input b [ 64 ] ~dtype:Shape.F32 in
+  ignore (Builder.input b [ 128 ] ~dtype:Shape.F32);
+  let w = Builder.weight b [ 64 ] ~dtype:Shape.F32 in
+  let y = Builder.add b x x in
+  ignore (Builder.add b (Builder.relu b y) w);
+  Builder.finish b
+
 let test_zoo () =
   List.iter
     (fun (w : Zoo.workload) ->
       let g = w.build Zoo.Quick in
       check_all ~extra:(candidates g) w.name g)
-    Zoo.all
+    Zoo.all;
+  check_all "repeated operand, unused input" (odd_graph ())
 
 let test_rewrites () =
   let c = cache () in
@@ -227,6 +357,30 @@ let test_rewrites () =
         (fun (rw : Rule.rewrite) ->
           check_all (Printf.sprintf "%s after %s" name rw.rule) rw.graph)
         rws)
+    [ "UNet"; "BERT-base" ]
+
+(* The search's own probes: states a short latency-mode search harvests,
+   each under its F-Tree accounting sizes *)
+let test_harvested_bounds () =
+  let c = cache () in
+  List.iter
+    (fun name ->
+      let g = (Zoo.find name).build Zoo.Quick in
+      let states = ref [] in
+      let config =
+        { Search.default_config with
+          max_iterations = 6; time_budget = infinity;
+          harvest = Some (fun ~iteration:_ s -> states := s :: !states) }
+      in
+      ignore (Search.optimize_latency ~config c ~mem_ratio:0.6 g);
+      Alcotest.(check bool) (name ^ ": states harvested") true (!states <> []);
+      List.iteri
+        (fun i (s : Mstate.t) ->
+          let acc = Ftree.accounting c s.graph s.ftree in
+          check_bound ~size_of:acc.size_of
+            (Printf.sprintf "%s harvested state %d" name i)
+            s.graph)
+        !states)
     [ "UNet"; "BERT-base" ]
 
 let randnet_prop =
@@ -248,5 +402,6 @@ let suite =
   [
     tc "zoo graphs match the oracles" test_zoo;
     tc "every rewrite matches the oracles" test_rewrites;
+    tc "bound probe matches on harvested states" test_harvested_bounds;
     QCheck_alcotest.to_alcotest randnet_prop;
   ]

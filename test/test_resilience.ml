@@ -372,10 +372,10 @@ type node_v2 = {
   inputs : int array;
 }
 
-(** Snapshots marshal [Graph.node], whose layout changed in format 3, so
-    a format-2 file for the very same run must be refused before its
-    payload is unmarshalled into the new layout. *)
-let test_checkpoint_rejects_old_format () =
+(** An old-format snapshot for the very same run (same fingerprint)
+    must be refused by its version before its payload is unmarshalled
+    into the current layout.  [save] writes the old payload. *)
+let check_rejects_format version save =
   with_temp_file @@ fun path ->
   let c = cache () in
   let g = randnet 7 in
@@ -389,19 +389,32 @@ let test_checkpoint_rejects_old_format () =
     Search.trajectory_fingerprint config mode
       ~hw:(Hardware.fingerprint Hardware.default) g
   in
-  let old_nodes =
-    List.map
-      (fun (n : Graph.node) ->
-        { id = n.id; op = n.op; shape = n.shape; label = n.label;
-          inputs = n.inputs })
-      (Graph.nodes g)
-  in
-  Checkpoint.save ~path ~version:2 ~fingerprint old_nodes;
+  save ~path ~fingerprint g;
   match Search.run ~config c mode g with
-  | _ -> Alcotest.fail "a format-2 snapshot must be rejected"
+  | _ -> Alcotest.failf "a format-%d snapshot must be rejected" version
   | exception Checkpoint.Incompatible msg ->
       Alcotest.(check bool) ("rejected by its version: " ^ msg) true
-        (contains msg "format version 2, expected 3")
+        (contains msg
+           (Printf.sprintf "format version %d, expected 4" version))
+
+(** Format 3 changed the layout of [Graph.node]. *)
+let test_checkpoint_rejects_old_format () =
+  check_rejects_format 2 (fun ~path ~fingerprint g ->
+      Checkpoint.save ~path ~version:2 ~fingerprint
+        (List.map
+           (fun (n : Graph.node) ->
+             { id = n.id; op = n.op; shape = n.shape; label = n.label;
+               inputs = n.inputs })
+           (Graph.nodes g)))
+
+(* [Search.stats] before format 4 dropped the cheap-tier counters *)
+type stats_v3 = { counts : int array; n_cheap_sched : int; n_promoted : int }
+
+(** Format 4 changed the shape of [Search.stats]. *)
+let test_checkpoint_rejects_format_3 () =
+  check_rejects_format 3 (fun ~path ~fingerprint _ ->
+      Checkpoint.save ~path ~version:3 ~fingerprint
+        { counts = Array.make 20 0; n_cheap_sched = 0; n_promoted = 0 })
 
 (** SIGTERM mid-search: the run returns early with [interrupted], the
     checkpoint holds the frontier, and resuming continues exactly where
@@ -462,6 +475,7 @@ let suite =
     tc "checkpoint/resume reproduces the uninterrupted run"
       test_checkpoint_resume_identity;
     tc "format-2 snapshots are rejected" test_checkpoint_rejects_old_format;
+    tc "format-3 snapshots are rejected" test_checkpoint_rejects_format_3;
     tc "checkpoints of foreign runs are rejected"
       test_checkpoint_rejects_foreign_run;
     tc "SIGTERM saves state and resumes bit-identically"

@@ -27,10 +27,12 @@ let test_latency_mode_respects_constraint () =
   let c = cache () in
   let g = subject () in
   let base = Simulator.run c g (Graph.program_order g) in
-  (* state verification roughly halves search throughput; give this
-     constraint-tightest test a correspondingly larger budget (the
-     iteration cap, not the wall clock, bounds it on fast machines) *)
-  let r = Search.optimize_latency ~config:(config 16.0) c ~mem_ratio:0.7 g in
+  (* bounded by iterations alone: the 70% limit is met within 64 *)
+  let r =
+    Search.optimize_latency
+      ~config:{ (config infinity) with max_iterations = 96 }
+      c ~mem_ratio:0.7 g
+  in
   let limit = int_of_float (float_of_int base.peak_mem *. 0.7) in
   Alcotest.(check bool) "memory within 70%" true (r.best.peak_mem <= limit);
   Alcotest.(check bool) "schedule valid" true
@@ -144,7 +146,7 @@ let pin_counts (s : Search.stats) =
   [ s.iterations; s.n_transform; s.n_sched; s.n_simul; s.n_filtered;
     s.n_sim_hit; s.n_sim_miss; s.n_bound_calls; s.n_pruned_lb; s.n_lv_delta;
     s.n_cut_reused; s.n_cut_recomputed; s.n_sched_fallback;
-    s.n_resched_nodes; s.n_sched_nodes; s.n_cheap_sched; s.n_promoted ]
+    s.n_resched_nodes; s.n_sched_nodes ]
 
 (* Quick models, latency mode at 0.6x the naive peak, 40 iterations *)
 let pins =
@@ -179,7 +181,7 @@ let pins =
           (71660996, 4571124873581717768L);
           (70612420, 4570557244368514523L);
         ];
-      counts = [ 40; 949; 822; 822; 81; 0; 822; 868; 46; 153; 650; 574; 0; 46770; 119135; 0; 0 ];
+      counts = [ 40; 949; 822; 822; 81; 0; 822; 868; 46; 0; 0; 0; 0; 46770; 119135 ];
     };
     {
       model = "BERT-base";
@@ -210,7 +212,7 @@ let pins =
           (345051140, 4581882315331521854L);
           (345051140, 4581733148810027148L);
         ];
-      counts = [ 40; 1055; 714; 714; 106; 0; 714; 949; 235; 271; 1045; 1123; 0; 63852; 123529; 0; 0 ];
+      counts = [ 40; 1055; 714; 714; 106; 0; 714; 949; 235; 0; 0; 0; 0; 63852; 123529 ];
     };
   ]
 
